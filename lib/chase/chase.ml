@@ -38,9 +38,11 @@ let ev_stop = Nca_obs.Events.label "budget.stop"
 
 (* Delta-driven: each round only enumerates the triggers whose body uses
    an atom created in the previous round ([Trigger.all_delta]); triggers
-   entirely over older levels were enumerated — and recorded in [fired] —
-   when their last atom appeared. The first round runs with
-   [delta = start], i.e. every trigger over the input. *)
+   entirely over older levels were enumerated when their last atom
+   appeared, so every trigger is enumerated exactly once over the run and
+   the oblivious and restricted chases need no record of fired triggers.
+   The first round runs with [delta = start], i.e. every trigger over the
+   input. *)
 let run ?(variant = Oblivious) ?max_depth ?max_atoms
     ?(budget = Nca_obs.Budget.unlimited) ?pool start rules =
   (* one governor for every bound: the legacy [max_depth]/[max_atoms]
@@ -52,16 +54,25 @@ let run ?(variant = Oblivious) ?max_depth ?max_atoms
          ~max_atoms:(Option.value ~default:20000 max_atoms)
          ())
   in
-  (* parallel runs share the budget across domains through a gate:
-     deadline/cancellation can then abort a round mid-enumeration from
-     any worker; the partial round is discarded (before it touches
-     [fired]), so the reported prefix is a valid round boundary *)
-  let gate =
-    match pool with
-    | Some _ -> Some (Nca_obs.Budget.Gate.make budget)
-    | None -> None
+  (* the gate carries deadline/cancellation into a round, from whichever
+     domain enumerates; a tripped round is discarded, so the reported
+     prefix is a valid round boundary *)
+  let gate = Nca_obs.Budget.Gate.make budget in
+  (* the semi-oblivious chase merges triggers that agree on the frontier
+     image: the one variant that needs a record across rounds *)
+  let fresh_frontier =
+    match variant with
+    | Semi_oblivious ->
+        let fired = Keytbl.create 256 in
+        fun tr ->
+          let k = Trigger.frontier_key tr in
+          if Keytbl.mem fired k then false
+          else begin
+            Keytbl.add fired k ();
+            true
+          end
+    | Oblivious | Restricted -> fun _ -> true
   in
-  let fired = Keytbl.create 256 in
   let rec go current delta levels_rev level stamps prov =
     let stop =
       match Nca_obs.Budget.interrupted budget with
@@ -78,29 +89,17 @@ let run ?(variant = Oblivious) ?max_depth ?max_atoms
         let t0 = if mt then Nca_obs.Events.now_us () else 0 in
         let round =
           Nca_obs.Telemetry.span "chase.round" @@ fun () ->
-          let raw = Trigger.all_delta ?pool ?gate rules ~total:current ~delta in
-          match Option.bind gate Nca_obs.Budget.Gate.tripped with
+          let raw = Trigger.all_delta ?pool ~gate rules ~total:current ~delta in
+          match Nca_obs.Budget.Gate.tripped gate with
           | Some err -> `Stopped err
           | None ->
           let triggers =
-            List.filter
-              (fun tr ->
-                let k =
-                  match variant with
-                  | Semi_oblivious -> Trigger.frontier_key tr
-                  | Oblivious | Restricted -> Trigger.key tr
-                in
-                if Keytbl.mem fired k then false
-                else if variant = Restricted && satisfied tr current then begin
-                  (* its head stays satisfied forever: never reconsider *)
-                  Keytbl.add fired k ();
-                  false
-                end
-                else begin
-                  Keytbl.add fired k ();
-                  true
-                end)
-              raw
+            match variant with
+            | Oblivious -> raw
+            | Semi_oblivious -> List.filter fresh_frontier raw
+            | Restricted ->
+                (* checked against the start-of-round instance *)
+                List.filter (fun tr -> not (satisfied tr current)) raw
           in
           if triggers = [] then `Saturated
           else begin

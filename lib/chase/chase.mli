@@ -3,8 +3,9 @@
     [Ch_0(I,R) = I] and [Ch_{n+1}(I,R) = Ch_n(I,R) ∪ ⋃_{τ ∈ T_n} output(τ)]
     where [T_n] are the triggers over [Ch_n] that were not triggers over
     [Ch_{n-1}]. Every trigger fires exactly once (obliviously: even when
-    its output is already entailed). The result records, per term, the
-    {e timestamp} (Definition 34: the first level at which the term
+    its output is already entailed) because the semi-naive enumeration
+    produces it exactly once over the run. The result records, per term,
+    the {e timestamp} (Definition 34: the first level at which the term
     occurs) and, per invented null, the {e provenance} — the trigger that
     created it — which the peak-removing argument (Lemma 40) consumes. *)
 
@@ -36,12 +37,14 @@ type variant =
   | Semi_oblivious
       (** triggers agreeing on the rule and the frontier image are
           identified (the Skolem chase): body homomorphisms that differ
-          only on non-frontier variables fire once. *)
+          only on non-frontier variables fire once. The only variant
+          that keeps a table of fired keys across rounds. *)
   | Restricted
       (** a trigger is skipped when its head is already satisfiable by an
-          extension of the frontier image — the standard chase. Sound and
-          universal like the oblivious chase, but often much smaller; used
-          as an ablation in the benchmarks. *)
+          extension of the frontier image in the instance at the start of
+          its round — a breadth-first ("parallel") standard chase. Sound
+          and universal like the oblivious chase, but often much smaller;
+          used as an ablation in the benchmarks. *)
 
 val run :
   ?variant:variant -> ?max_depth:int -> ?max_atoms:int ->
@@ -53,8 +56,12 @@ val run :
     the structural defaults. A stop before saturation is reported in
     {!t.stopped} as a typed verdict, never an exception.
 
-    Governor checkpoints sit at round granularity: deadline/cancellation
-    and the depth bound before each round, the atom bound after it.
+    Governor checkpoints: deadline/cancellation and the depth bound
+    before each round, the atom bound after it, and — with or without
+    [pool] — deadline/cancellation inside a round too, through a
+    {!Nca_obs.Budget.Gate} stepped once per enumerated trigger and
+    consulted every 4096 steps. A round the gate stops is discarded, so
+    the reported prefix is always a valid round boundary.
 
     Evaluation is delta-driven (semi-naive): each round enumerates only
     the triggers that use an atom created in the previous round
@@ -64,13 +71,14 @@ val run :
 
     With [pool], each round's trigger enumeration runs across the pool's
     domains. Workers only {e enumerate} (no atoms, no nulls); the
-    per-task trigger lists merge in task order — the exact sequential
-    order — and trigger outputs are applied sequentially at the barrier,
-    so the result (levels, null numbering, timestamps, provenance) is
-    {e byte-identical} at any [jobs] count. The budget is shared across
-    domains through a {!Nca_obs.Budget.Gate}: deadline/cancellation can
-    abort a round mid-enumeration, the partial round is discarded, and
-    the reported prefix is a valid round boundary. *)
+    triggers come back in task order — the exact sequential order — and
+    trigger outputs are applied sequentially after the barrier, so the
+    result (levels, null numbering, timestamps, provenance) is
+    {e byte-identical} at any [jobs] count.
+
+    With telemetry on, the [chase.triggers] counter counts the triggers
+    that fired: after the semi-oblivious merge and the restricted
+    satisfaction filter, so at most the number enumerated. *)
 
 val level : t -> int -> Instance.t
 (** [level c k] is [Ch_k]; clamped to the last computed level. *)

@@ -3,8 +3,8 @@
     The Section-5 decomposition (Lemma 33) computes [Ch(Ch(S^∃), S^DL)]:
     a Datalog closure on top of an existential chase. Evaluation is
     semi-naive — each round joins every rule body against the {e delta}
-    of the previous round through the pivot stratification of
-    {!Hom.iter_targets}, so no derivation is recomputed — with a mutable
+    of the previous round through the pivot decomposition of
+    {!Trigger.delta_tasks}, so no derivation is recomputed — with a mutable
     fact store inside a round and a persistent {!Instance} only at round
     boundaries. Used by the benchmarks as the optimized engine for
     Datalog closures; equivalence with {!Chase.run} is part of the test
@@ -38,17 +38,18 @@ val saturate :
     exhaustion verdict with the partial closure. Raises {!Not_datalog} on
     a rule with existential variables. The legacy [max_rounds]/[max_atoms]
     arguments (defaults 10000 rounds, 1_000_000 atoms — Datalog closures
-    are finite, so these are safety valves) intersect with [budget];
-    deadline and cancellation are checked once per round.
+    are finite, so these are safety valves) intersect with [budget].
+    Deadline and cancellation are checked before each round and, through
+    a {!Nca_obs.Budget.Gate} stepped once per join result, inside it —
+    with or without [pool]. A round the gate stops is discarded and
+    records no provenance, so the reported partial closure is a
+    round-boundary prefix.
 
     With [pool], each round's (rule, pivot) join units run across the
-    pool's domains and the per-task derivation lists merge in task order
-    on the coordinator — the computed closure is the same set at any
+    pool's domains and their derivations are consumed in task order on
+    the calling domain — the computed closure is the same set at any
     [jobs] count, and first-writer-wins provenance picks the same entry
-    per fact the sequential loop picks. The budget is shared across
-    domains through a {!Nca_obs.Budget.Gate}, so deadline/cancellation
-    can abort a round from any worker (the aborted round is discarded;
-    the reported partial closure is a round-boundary prefix, as ever). *)
+    per fact the sequential loop picks. *)
 
 val closure : ?pool:Pool.t -> Instance.t -> Rule.t list -> Instance.t
 (** Unbudgeted least fixpoint — total, since Datalog closures are finite.

@@ -255,6 +255,27 @@ let stats (t : t) =
         (Array.map (fun (s : slot) -> (s.tasks, s.busy_us)) t.per_domain);
   }
 
+(* The engines' one round runner. Without workers the consumer runs
+   straight from the task: the sequential loop, no buffers. With workers
+   each task fills its own buffer and the coordinator replays the
+   buffers in task order — the order the sequential loop consumes in. A
+   raising task propagates like [map]'s lowest failure; nothing is
+   replayed then. *)
+let iter_ordered t n task consume =
+  match t with
+  | Some (t : t) when t.jobs > 1 ->
+      let buffers =
+        map t n (fun i ->
+            let acc = ref [] in
+            task i (fun x -> acc := x :: !acc);
+            List.rev !acc)
+      in
+      Array.iter (List.iter consume) buffers
+  | _ ->
+      for i = 0 to n - 1 do
+        task i consume
+      done
+
 let with_pool ~jobs f =
   if jobs <= 1 then f None
   else begin

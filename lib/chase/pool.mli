@@ -37,10 +37,24 @@ val shutdown : t -> unit
 (** Stop and join the worker domains. The pool must not be used
     afterwards; idempotent. *)
 
+val iter_ordered :
+  t option -> int -> (int -> ('a -> unit) -> unit) -> ('a -> unit) -> unit
+(** [iter_ordered pool n task consume] runs [task 0 emit], …,
+    [task (n-1) emit] and hands every emitted value to [consume], task by
+    task and, within a task, in emission order — the same sequence at
+    any crew size. Without workers ([None] or [jobs = 1]) [emit] is
+    [consume] itself and the tasks run in a plain loop with no buffering;
+    with workers, tasks run across the crew, each into a private buffer
+    that the calling domain replays in task order after the barrier, so
+    only [task] must be safe to call from any domain. An exception from
+    a task propagates as from {!map} (the lowest failing index), and
+    with workers no buffer is replayed then. *)
+
 val with_pool : jobs:int -> (t option -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f (Some pool)] with a fresh pool and
     shuts it down afterwards (also on exceptions) — or [f None] when
-    [jobs <= 1], the sequential path. *)
+    [jobs <= 1]. Engines take the option as is: {!iter_ordered} runs
+    [None] as the same loop as a one-domain pool. *)
 
 (** {1 Accounting} *)
 

@@ -213,6 +213,85 @@ let test_stress_shared_pool () =
           Alcotest.failf "rep %d: shared-pool chase diverged" rep
       done
 
+(* ------------------------------------------------------------------ *)
+(* Budget parity: a cancellation callback that fires on its k-th
+   consultation stops the run at the same point with no pool and at jobs
+   2-4.  The callback is consulted before each round and, through the
+   budget gate, every 4096 enumerated triggers / join results inside a
+   round, in both modes; a round the gate stops is discarded, so every
+   mode reports the same round-boundary prefix. *)
+
+let cancel_budget k =
+  let consulted = Atomic.make 0 in
+  Nca_obs.Budget.v
+    ~cancel:(fun () -> Atomic.fetch_and_add consulted 1 >= k - 1)
+    ()
+
+let cancelled = function
+  | Some e -> e.Nca_obs.Exhausted.resource = Nca_obs.Exhausted.Cancelled
+  | None -> false
+
+let test_cancel_parity_chase () =
+  let e = Nca_core.Rulesets.example1_bdd in
+  (* depth 7 has eight round heads; k = 40 can only fire inside a round *)
+  List.iter
+    (fun k ->
+      let run pool =
+        Chase.run ~max_depth:7 ~budget:(cancel_budget k) ?pool
+          e.Nca_core.Rulesets.instance e.Nca_core.Rulesets.rules
+      in
+      let seq = warmed (fun () -> run None) in
+      check (Printf.sprintf "k=%d: cancelled without a pool" k) true
+        (cancelled seq.Chase.stopped);
+      if k = 40 then
+        check "k=40 stops inside round 7" true (seq.Chase.depth < 7);
+      List.iter
+        (fun jobs ->
+          Pool.with_pool ~jobs (fun pool ->
+              let par = run pool in
+              check (Printf.sprintf "k=%d jobs=%d: same prefix" k jobs) true
+                (chase_equal seq par && cancelled par.Chase.stopped)))
+        [ 2; 3; 4 ])
+    [ 7; 9; 40 ]
+
+let test_cancel_parity_datalog () =
+  let chain =
+    Instance.of_list
+      (List.init 80 (fun i ->
+           Atom.app "E"
+             [
+               Term.cst (Printf.sprintf "c%d" i);
+               Term.cst (Printf.sprintf "c%d" (i + 1));
+             ]))
+  in
+  let rules = Parser.parse_rules "tc: E(x,y), E(y,z) -> E(x,z)." in
+  (* the unbudgeted closure consults the callback 28 times, 8 of them at
+     round heads *)
+  List.iter
+    (fun k ->
+      let run pool =
+        Datalog.saturate ~budget:(cancel_budget k) ?pool chain rules
+      in
+      match run None with
+      | Ok _ -> Alcotest.failf "k=%d: expected a cancelled closure" k
+      | Error seq ->
+          check (Printf.sprintf "k=%d: cancelled without a pool" k) true
+            (cancelled (Some seq.Datalog.err));
+          List.iter
+            (fun jobs ->
+              Pool.with_pool ~jobs (fun pool ->
+                  match run pool with
+                  | Ok _ -> Alcotest.failf "k=%d jobs=%d: not cancelled" k jobs
+                  | Error par ->
+                      check (Printf.sprintf "k=%d jobs=%d: same prefix" k jobs)
+                        true
+                        (cancelled (Some par.Datalog.err)
+                        && par.Datalog.rounds = seq.Datalog.rounds
+                        && Instance.equal par.Datalog.partial
+                             seq.Datalog.partial)))
+            [ 2; 3; 4 ])
+    [ 3; 12; 25 ]
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_chase_byte_identical; prop_closure_set_equal ]
@@ -231,6 +310,13 @@ let () =
           tc "gate trips on step budget" test_gate_trips_on_step_budget;
         ] );
       ("equivalence", props);
+      ( "budget",
+        [
+          tc "chase: k-th cancel, same prefix at jobs 1-4"
+            test_cancel_parity_chase;
+          tc "datalog: k-th cancel, same prefix at jobs 1-4"
+            test_cancel_parity_datalog;
+        ] );
       ( "stress",
         [
           tc "50 seeded reps, 2-8 domains" test_stress_multi_domain;
