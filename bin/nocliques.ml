@@ -1401,7 +1401,8 @@ let termination_graph_cmd =
 
 (* debug bench-diff: the first automated guard on the perf trajectory.
    Compares two BENCH_chase.json-shaped documents row by row (key =
-   kind/name, metric = after_us, or jobs1_us for the par rows) and
+   kind/name, metric = after_us; a par row yields one timing per jobs
+   count, keyed kind/name for jobs1_us and kind/name@jN for jobsN_us) and
    exits nonzero when any shared workload slowed past the threshold —
    unless the two host blocks differ, in which case a cross-machine
    comparison can only warn. *)
@@ -1428,9 +1429,13 @@ let bench_diff_cmd =
         (Option.value ~default:"?" (str "kind" row))
         (Option.value ~default:"?" (str "name" row))
     in
-    let metric row =
-      let int k = Option.bind (Json.member k row) Json.to_int in
-      match int "after_us" with Some v -> Some v | None -> int "jobs1_us"
+    let metrics row =
+      List.filter_map
+        (fun (suffix, k) ->
+          Option.map (fun v -> (suffix, v))
+            (Option.bind (Json.member k row) Json.to_int))
+        [ ("", "after_us"); ("", "jobs1_us"); ("@j2", "jobs2_us");
+          ("@j4", "jobs4_us") ]
     in
     (* host comparability (bench_chase v2): absent or differing host
        metadata — or a smoke run against a full run — means the timings
@@ -1467,14 +1472,22 @@ let bench_diff_cmd =
         | None -> Fmt.pr "%-34s %28s (new row)@." k ""
         | Some old_row -> (
             Hashtbl.remove old_tbl k;
-            match (metric old_row, metric row) with
-            | Some o, Some n ->
-                let delta = ((n - o) * 100) / max 1 o in
-                let slower = delta > threshold in
-                if slower then incr regressions;
-                Fmt.pr "%-34s %10d us -> %10d us  %+4d%%%s@." k o n delta
-                  (if slower then "  SLOWER" else "")
-            | _ -> Fmt.pr "%-34s %28s (no timing)@." k ""))
+            let olds = metrics old_row in
+            match metrics row with
+            | [] -> Fmt.pr "%-34s %28s (no timing)@." k ""
+            | news ->
+                List.iter
+                  (fun (suffix, n) ->
+                    let k = k ^ suffix in
+                    match List.assoc_opt suffix olds with
+                    | Some o ->
+                        let delta = ((n - o) * 100) / max 1 o in
+                        let slower = delta > threshold in
+                        if slower then incr regressions;
+                        Fmt.pr "%-34s %10d us -> %10d us  %+4d%%%s@." k o n
+                          delta (if slower then "  SLOWER" else "")
+                    | None -> Fmt.pr "%-34s %28s (no timing)@." k "")
+                  news))
       (rows new_path new_doc);
     Hashtbl.fold (fun k _ acc -> k :: acc) old_tbl []
     |> List.sort String.compare

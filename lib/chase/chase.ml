@@ -37,7 +37,7 @@ let ev_round = Nca_obs.Events.label "chase.round.boundary"
 let ev_stop = Nca_obs.Events.label "budget.stop"
 
 (* Delta-driven: each round only enumerates the triggers whose body uses
-   an atom created in the previous round ([Trigger.all_delta]); triggers
+   an atom created in the previous round ([Trigger.fire]); triggers
    entirely over older levels were enumerated when their last atom
    appeared, so every trigger is enumerated exactly once over the run and
    the oblivious and restricted chases need no record of fired triggers.
@@ -58,20 +58,22 @@ let run ?(variant = Oblivious) ?max_depth ?max_atoms
      domain enumerates; a tripped round is discarded, so the reported
      prefix is a valid round boundary *)
   let gate = Nca_obs.Budget.Gate.make budget in
-  (* the semi-oblivious chase merges triggers that agree on the frontier
-     image: the one variant that needs a record across rounds *)
-  let fresh_frontier =
+  (* the variant's trigger filter, given the start-of-round instance *)
+  let keep =
     match variant with
+    | Oblivious -> fun _ _ -> true
     | Semi_oblivious ->
+        (* triggers that agree on the frontier image merge: the one
+           variant that needs a record across rounds *)
         let fired = Keytbl.create 256 in
-        fun tr ->
+        fun _ tr ->
           let k = Trigger.frontier_key tr in
           if Keytbl.mem fired k then false
           else begin
             Keytbl.add fired k ();
             true
           end
-    | Oblivious | Restricted -> fun _ -> true
+    | Restricted -> fun current tr -> not (satisfied tr current)
   in
   let rec go current delta levels_rev level stamps prov =
     let stop =
@@ -89,81 +91,35 @@ let run ?(variant = Oblivious) ?max_depth ?max_atoms
         let t0 = if mt then Nca_obs.Events.now_us () else 0 in
         let round =
           Nca_obs.Telemetry.span "chase.round" @@ fun () ->
-          let raw = Trigger.all_delta ?pool ~gate rules ~total:current ~delta in
-          match Nca_obs.Budget.Gate.tripped gate with
-          | Some err -> `Stopped err
-          | None ->
-          let triggers =
-            match variant with
-            | Oblivious -> raw
-            | Semi_oblivious -> List.filter fresh_frontier raw
-            | Restricted ->
-                (* checked against the start-of-round instance *)
-                List.filter (fun tr -> not (satisfied tr current)) raw
-          in
-          if triggers = [] then `Saturated
-          else begin
-            (* the next delta is accumulated from the trigger outputs, so a
-               round costs O(new atoms), not a sweep of the whole instance *)
-            let (next, delta'), stamps, prov =
-              List.fold_left
-                (fun ((inst, d), stamps, prov) tr ->
-                  let out, ext = Trigger.output tr in
-                  let prov =
+          match
+            Trigger.fire ?pool ~gate ~keep:(keep current) ~round:(level + 1)
+              rules ~total:current ~delta
+          with
+          | Error err -> `Stopped err
+          | Ok (0, _, _, _) -> `Saturated
+          | Ok (fired, next, delta', derivations) ->
+              (* every fresh null and every first-seen head constant occurs
+                 in a new atom, so the round's new atoms carry all of its
+                 timestamps and per-null provenance *)
+              let prov =
+                List.fold_left
+                  (fun prov { Trigger.trigger; ext; _ } ->
+                    let p =
+                      { rule = trigger.rule; hom = trigger.hom;
+                        extension = ext; level = level + 1 }
+                    in
                     Term.Set.fold
-                      (fun z acc ->
-                        let created = Subst.apply ext z in
-                        Term.Map.add created
-                          {
-                            rule = tr.Trigger.rule;
-                            hom = tr.Trigger.hom;
-                            extension = ext;
-                            level = level + 1;
-                          }
-                          acc)
-                      (Rule.exist_vars tr.Trigger.rule)
-                      prov
-                  in
-                  (* fact-level provenance: the stored hom is the full
-                     extension, so one substitution instantiates both the
-                     body (→ parents) and the head (→ the fact) *)
-                  let record =
-                    if Nca_provenance.Provenance.enabled () then begin
-                      let rule = tr.Trigger.rule in
-                      let parents =
-                        Subst.apply_atoms tr.Trigger.hom (Rule.body rule)
-                      in
-                      fun a ->
-                        Nca_provenance.Provenance.record a ~rule ~hom:ext
-                          ~round:(level + 1) ~parents
-                    end
-                    else fun _ -> ()
-                  in
-                  let inst, d =
-                    Instance.fold
-                      (fun a (inst, d) ->
-                        if Instance.mem a inst then (inst, d)
-                        else begin
-                          record a;
-                          (Instance.add a inst, Instance.add a d)
-                        end)
-                      out (inst, d)
-                  in
-                  ( (inst, d),
-                    stamp_terms (level + 1) (Instance.adom out) stamps,
-                    prov ))
-                ((current, Instance.empty), stamps, prov) triggers
-            in
-            (* the [List.length] walk is only worth paying when recording *)
-            if Nca_obs.Telemetry.enabled () || Nca_obs.Metrics.enabled ()
-            then begin
-              let ntr = List.length triggers in
-              Nca_obs.Telemetry.count "chase.triggers" ntr;
+                      (fun z acc -> Term.Map.add (Subst.apply ext z) p acc)
+                      (Rule.exist_vars trigger.rule) prov)
+                  prov derivations
+              in
+              let stamps =
+                stamp_terms (level + 1) (Instance.adom delta') stamps
+              in
+              Nca_obs.Telemetry.count "chase.triggers" fired;
               Nca_obs.Telemetry.count "chase.atoms" (Instance.cardinal delta');
-              Nca_obs.Metrics.observe "chase.trigger_batch" ntr
-            end;
-            `Round (next, delta', stamps, prov)
-          end
+              Nca_obs.Metrics.observe "chase.trigger_batch" fired;
+              `Round (next, delta', stamps, prov)
         in
         if mt then
           Nca_obs.Metrics.observe "chase.round_us"

@@ -60,21 +60,26 @@ val run :
     before each round, the atom bound after it, and — with or without
     [pool] — deadline/cancellation inside a round too, through a
     {!Nca_obs.Budget.Gate} stepped once per enumerated trigger and
-    consulted every 4096 steps. A round the gate stops is discarded, so
-    the reported prefix is always a valid round boundary.
+    consulted every 4096 steps. A round the gate stops is discarded
+    (fact-level provenance included), so the reported prefix is always
+    a valid round boundary.
 
-    Evaluation is delta-driven (semi-naive): each round enumerates only
-    the triggers that use an atom created in the previous round
-    ({!Trigger.all_delta}) instead of re-running every rule body over the
-    whole instance, which leaves the computed levels, timestamps and
-    provenance identical to the naive level-by-level definition.
+    Evaluation is delta-driven (semi-naive): each round is one
+    {!Trigger.fire}, which enumerates only the triggers that use an atom
+    created in the previous round instead of re-running every rule body
+    over the whole instance, and fires each one as it is enumerated.
+    The computed levels, timestamps and provenance are identical to the
+    naive level-by-level definition; timestamps and per-null provenance
+    are read off the round's new atoms.
 
     With [pool], each round's trigger enumeration runs across the pool's
     domains. Workers only {e enumerate} (no atoms, no nulls); the
     triggers come back in task order — the exact sequential order — and
-    trigger outputs are applied sequentially after the barrier, so the
-    result (levels, null numbering, timestamps, provenance) is
-    {e byte-identical} at any [jobs] count.
+    are fired on the calling domain, so the result (levels, null
+    numbering, timestamps, provenance) is {e byte-identical} at any
+    [jobs] count. Without workers a round is streamed and its memory is
+    bounded by its new atoms; with workers the round's triggers are
+    still buffered until the barrier.
 
     With telemetry on, the [chase.triggers] counter counts the triggers
     that fired: after the semi-oblivious merge and the restricted

@@ -37,74 +37,12 @@ let seed_with atom fact =
             end)
       (Some Subst.empty) (Atom.args atom) (Atom.args fact)
 
-(* In-round store of freshly derived atoms: hash-consed atoms hash and
-   compare in O(1), so use them directly instead of polymorphic hashing. *)
-module Atom_tbl = Hashtbl.Make (struct
-  type t = Atom.t
-
-  let equal = Atom.equal
-  let hash = Atom.hash
-end)
-
 let ev_round = Nca_obs.Events.label "datalog.round.boundary"
 let ev_stop = Nca_obs.Events.label "budget.stop"
 
-(* One semi-naive round: every homomorphism of a rule body into [total]
-   that uses at least one [delta] atom, over the pivot tasks of
-   [Trigger.delta_tasks], so each join result is produced exactly once.
-   Derivations accumulate in a mutable store; a persistent [Instance] is
-   rebuilt only at the round boundary.
-
-   The tasks run through [Pool.iter_ordered]. With workers, tasks do
-   create atoms (hash-consing handles cross-domain identity), so atom
-   ids are not reproducible run-to-run — but the round's result is a
-   set, and the consumer sees the derivations in task order, which is
-   exactly the sequential derivation order. Each task drops its own
-   repeats before emitting: a recursive rule derives the same atom from
-   many joins, and with workers the repeats would otherwise all be
-   buffered and replayed by the calling domain. First-writer-wins
-   provenance is decided there, on the calling domain, and recorded
-   only once the round completes, so a round the gate discards leaves
-   no record behind. *)
-let round ?(round_no = 0) ?pool ~gate rules ~total ~delta =
-  let fresh : unit Atom_tbl.t = Atom_tbl.create 64 in
-  (* one flag read per round, not per derivation *)
-  let tracking = Nca_provenance.Provenance.enabled () in
-  let derivations = ref [] in
-  let tasks = Array.of_list (Trigger.delta_tasks rules ~total ~delta) in
-  (try
-     Pool.iter_ordered pool (Array.length tasks)
-       (fun i emit ->
-         let rule, goals = tasks.(i) in
-         let head = Rule.head rule in
-         let local : unit Atom_tbl.t = Atom_tbl.create 16 in
-         Nca_plan.Exec.iter_targets goals (fun h ->
-             Trigger.step gate;
-             List.iter
-               (fun head_atom ->
-                 let derived = Subst.apply_atom h head_atom in
-                 if
-                   (not (Instance.mem derived total))
-                   && not (Atom_tbl.mem local derived)
-                 then begin
-                   Atom_tbl.add local derived ();
-                   emit (rule, derived, h)
-                 end)
-               head))
-       (fun ((_, derived, _) as d) ->
-         if not (Atom_tbl.mem fresh derived) then begin
-           if tracking then derivations := d :: !derivations;
-           Atom_tbl.add fresh derived ()
-         end)
-   with Trigger.Gate_tripped -> ());
-  if Option.is_none (Nca_obs.Budget.Gate.tripped gate) then
-    List.iter
-      (fun (rule, derived, h) ->
-        Nca_provenance.Provenance.record derived ~rule ~hom:h ~round:round_no
-          ~parents:(Subst.apply_atoms h (Rule.body rule)))
-      (List.rev !derivations);
-  Atom_tbl.fold (fun a () acc -> Instance.add a acc) fresh Instance.empty
-
+(* Each round is one [Trigger.fire] that keeps every trigger: a join
+   result derives its rule's head atoms, and those new to the round
+   become the next delta. *)
 let saturate_steps ?pool ~budget start rules =
   check_datalog rules;
   (* the gate carries deadline/cancellation into a round, from whichever
@@ -131,19 +69,20 @@ let saturate_steps ?pool ~budget start rules =
           Nca_obs.Events.instant ev_round ~arg:n;
           let mt = Nca_obs.Metrics.enabled () in
           let t0 = if mt then Nca_obs.Events.now_us () else 0 in
-          let fresh =
+          let round =
             Nca_obs.Telemetry.span "datalog.round" (fun () ->
-                round ~round_no:(n + 1) ?pool ~gate rules ~total ~delta)
+                Trigger.fire ?pool ~gate ~keep:(fun _ -> true) ~round:(n + 1)
+                  rules ~total ~delta)
           in
           if mt then
             Nca_obs.Metrics.observe "datalog.round_us"
               (Nca_obs.Events.now_us () - t0);
-          match Nca_obs.Budget.Gate.tripped gate with
-          | Some err -> Error { err; partial = total; rounds = n }
-          | None ->
+          match round with
+          | Error err -> Error { err; partial = total; rounds = n }
+          | Ok (_, next, fresh, _) ->
               Nca_obs.Telemetry.count "datalog.atoms"
                 (Instance.cardinal fresh);
-              go (Instance.union total fresh) fresh (n + 1))
+              go next fresh (n + 1))
   in
   Nca_obs.Telemetry.span "datalog.saturate" @@ fun () ->
   let result = go start start 0 in

@@ -4,11 +4,12 @@
     a Datalog closure on top of an existential chase. Evaluation is
     semi-naive — each round joins every rule body against the {e delta}
     of the previous round through the pivot decomposition of
-    {!Trigger.delta_tasks}, so no derivation is recomputed — with a mutable
-    fact store inside a round and a persistent {!Instance} only at round
-    boundaries. Used by the benchmarks as the optimized engine for
-    Datalog closures; equivalence with {!Chase.run} is part of the test
-    suite. *)
+    {!Trigger.delta_tasks}, so no derivation is recomputed. A round is
+    {!Trigger.fire} with every trigger kept, the same round function as
+    {!Chase.run}'s: this module adds the Datalog check, the rounds and
+    atoms budget and the result type. Used by the benchmarks as the
+    optimized engine for Datalog closures; agreement with {!Chase.run}
+    and with a naive fixpoint is part of the test suite. *)
 
 open Nca_logic
 
@@ -46,8 +47,8 @@ val saturate :
     round-boundary prefix.
 
     With [pool], each round's (rule, pivot) join units run across the
-    pool's domains and their derivations are consumed in task order on
-    the calling domain — the computed closure is the same set at any
+    pool's domains and their join results are instantiated in task order
+    on the calling domain — the computed closure is the same at any
     [jobs] count, and first-writer-wins provenance picks the same entry
     per fact the sequential loop picks. *)
 

@@ -50,14 +50,7 @@ let all rules i =
    The (rule, pivot) pairs are independent joins over frozen instances,
    so they are the task unit of [Pool.iter_ordered]: the triggers come
    out in task order at any [jobs] count (workers create no atoms and no
-   nulls; enumeration only reads). The gate, stepped once per reported
-   homomorphism, is the round's budget checkpoint: once it trips, every
-   task unwinds and the caller must discard the round. *)
-
-exception Gate_tripped
-
-let step gate =
-  if Nca_obs.Budget.Gate.step gate then raise_notrace Gate_tripped
+   nulls; enumeration only reads). *)
 
 let delta_tasks rules ~total ~delta =
   let old = Instance.diff total delta in
@@ -77,30 +70,75 @@ let delta_tasks rules ~total ~delta =
         body)
     rules
 
-let all_delta ?pool ?gate rules ~total ~delta =
+exception Gate_tripped
+
+(* [step] runs once per enumerated trigger, on whichever domain
+   enumerates; raising [Gate_tripped] unwinds every task. *)
+let iter_delta ?pool ~step rules ~total ~delta consume =
   let tasks = Array.of_list (delta_tasks rules ~total ~delta) in
-  let step = match gate with Some g -> fun () -> step g | None -> ignore in
+  try
+    Pool.iter_ordered pool (Array.length tasks)
+      (fun i emit ->
+        let rule, goals = tasks.(i) in
+        Nca_plan.Exec.iter_targets goals (fun hom ->
+            step ();
+            emit { rule; hom }))
+      consume
+  with Gate_tripped -> ()
+
+let all_delta rules ~total ~delta =
   let acc = ref [] in
-  (try
-     Pool.iter_ordered pool (Array.length tasks)
-       (fun i emit ->
-         let rule, goals = tasks.(i) in
-         Nca_plan.Exec.iter_targets goals (fun hom ->
-             step ();
-             emit { rule; hom }))
-       (fun tr -> acc := tr :: !acc)
-   with Gate_tripped -> ());
+  iter_delta ~step:ignore rules ~total ~delta (fun tr -> acc := tr :: !acc);
   List.rev !acc
 
-let output tr =
-  let ext =
-    (* name order: null numbering is assigned deterministically *)
-    List.fold_left
-      (fun acc z -> Subst.add z (Term.fresh_null ()) acc)
-      tr.hom
-      (Term.sorted_elements (Rule.exist_vars tr.rule))
+(* Atoms and nulls are created only here, on the calling domain, in
+   consumption order: atom ids decide the next round's enumeration
+   order, so this keeps the output the same at any [jobs] count. *)
+type derivation = { fact : Atom.t; trigger : t; ext : Subst.t }
+
+let fire ?pool ~gate ~keep ~round rules ~total ~delta =
+  let fired = ref 0 and next = ref total and fresh = ref Instance.empty in
+  let derivations = ref [] in
+  let step () =
+    if Nca_obs.Budget.Gate.step gate then raise_notrace Gate_tripped
   in
-  (Instance.of_list (Subst.apply_atoms ext (Rule.head tr.rule)), ext)
+  iter_delta ?pool ~step rules ~total ~delta (fun tr ->
+      if keep tr then begin
+        incr fired;
+        let ext =
+          (* fresh nulls in name order, so null numbering is
+             deterministic; a Datalog trigger creates none *)
+          if Rule.is_datalog tr.rule then tr.hom
+          else
+            List.fold_left
+              (fun acc z -> Subst.add z (Term.fresh_null ()) acc)
+              tr.hom
+              (Term.sorted_elements (Rule.exist_vars tr.rule))
+        in
+        List.iter
+          (fun h ->
+            let a = Subst.apply_atom ext h in
+            if not (Instance.mem a !next) then begin
+              next := Instance.add a !next;
+              fresh := Instance.add a !fresh;
+              derivations := { fact = a; trigger = tr; ext } :: !derivations
+            end)
+          (Rule.head tr.rule)
+      end);
+  match Nca_obs.Budget.Gate.tripped gate with
+  | Some err -> Error err
+  | None ->
+      let derivations = List.rev !derivations in
+      (* fact-level provenance only for a completed round; the stored hom
+         is the full extension, so one substitution instantiates both the
+         body (→ parents) and the head (→ the fact) *)
+      if Nca_provenance.Provenance.enabled () then
+        List.iter
+          (fun { fact; trigger = { rule; hom }; ext } ->
+            Nca_provenance.Provenance.record fact ~rule ~hom:ext ~round
+              ~parents:(Subst.apply_atoms hom (Rule.body rule)))
+          derivations;
+      Ok (!fired, !next, !fresh, derivations)
 
 let frontier_image tr =
   Term.Set.map (Subst.apply tr.hom) (Rule.frontier tr.rule)

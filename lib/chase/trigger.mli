@@ -34,44 +34,58 @@ val delta_tasks :
     [total ∖ delta] before [p], [delta] at [p], [total] after it. The
     homomorphisms of the tasks' goal lists partition the homomorphisms
     into [total] that use at least one atom of [delta]. The task unit of
-    both {!all_delta} and {!Datalog.saturate}. *)
+    both {!all_delta} and {!fire}. *)
 
-exception Gate_tripped
-(** Raised by {!step} inside a task to unwind a round whose budget gate
-    has tripped. *)
-
-val step : Nca_obs.Budget.Gate.t -> unit
-(** [step gate] records one unit of round work on the gate and raises
-    {!Gate_tripped} once it has tripped. *)
-
-val all_delta :
-  ?pool:Pool.t ->
-  ?gate:Nca_obs.Budget.Gate.t ->
-  Rule.t list ->
-  total:Instance.t ->
-  delta:Instance.t ->
-  t list
+val all_delta : Rule.t list -> total:Instance.t -> delta:Instance.t -> t list
 (** The triggers over [total] whose homomorphism uses at least one atom
-    of [delta] (which must be a subset of [total]) — the per-round work
-    of a semi-naive chase. Each such trigger is enumerated exactly once
-    ({!delta_tasks}). With [delta = total] this is exactly {!all}, and
+    of [delta] (which must be a subset of [total]), each exactly once
+    ({!delta_tasks}), in the order {!fire} consumes them. With
+    [delta = total] this is exactly {!all}, and
     [all total = all_delta ~total ~delta ∪ all (total ∖ delta)]
     disjointly — property-tested in the suite. Run over the consecutive
     levels of a chase, with each round's new atoms as [delta], no trigger
-    is therefore enumerated twice across the whole run.
+    is therefore enumerated twice across the whole run. The
+    enumeration-only entry, kept for the tests and for the benchmark
+    harness, which replays it to time enumeration on its own. *)
 
-    The tasks run through {!Pool.iter_ordered}, so with [pool] they are
-    enumerated across the pool's domains and the returned list is
-    {e identical} to the one without — enumeration is read-only (no
-    atoms, no nulls). With [gate], every reported homomorphism steps the
-    gate; once it trips, every task unwinds and the caller must check
-    {!Nca_obs.Budget.Gate.tripped} and discard the partial round. *)
+type derivation = {
+  fact : Atom.t;  (** a head atom new in its round *)
+  trigger : t;  (** the first trigger of the round to derive it *)
+  ext : Subst.t;
+      (** the trigger's homomorphism extended by the fresh nulls of the
+          rule's existential variables *)
+}
 
-val output : t -> Instance.t * Subst.t
-(** The output of the trigger: [h'(head ρ)] where [h'] extends [h] by
-    mapping each existential variable to a globally fresh null. Also
-    returns [h'] (the extension), whose restriction to the existential
-    variables identifies the created nulls. *)
+val fire :
+  ?pool:Pool.t ->
+  gate:Nca_obs.Budget.Gate.t ->
+  keep:(t -> bool) ->
+  round:int ->
+  Rule.t list ->
+  total:Instance.t ->
+  delta:Instance.t ->
+  (int * Instance.t * Instance.t * derivation list, Nca_obs.Exhausted.t)
+  result
+(** One semi-naive round, the round of both {!Chase.run} and
+    {!Datalog.saturate}. Each trigger of {!all_delta} is consumed as
+    soon as it is enumerated: if [keep] accepts it, it {e fires} — its
+    existential variables get fresh nulls in name order and each head
+    atom not yet in the round's instance is added. Returns
+    [Ok (fired, next, fresh, derivations)]: the number of kept
+    triggers, [total] plus the new atoms, the new atoms, and one
+    {!derivation} per new atom in first-derivation order. Without
+    workers a round's memory is therefore bounded by its new atoms, not
+    by its trigger count; with [pool], {!Pool.iter_ordered} still
+    buffers the round's triggers.
+
+    Only enumeration runs on the pool's domains: [keep] and every atom
+    and null creation run on the calling domain in consumption order, so
+    the result (null numbering included) is {e byte-identical} at any
+    [jobs] count. [gate] is stepped once per enumerated trigger; once it
+    trips the round unwinds and [fire] returns its verdict as [Error].
+    Fact-level {!Nca_provenance.Provenance} (at [round], hom [ext]) is
+    recorded only when the round completes, so a stopped round leaves no
+    record. *)
 
 val key : t -> Key.t
 (** A canonical identity for the trigger: rule name + the ordered

@@ -1,4 +1,18 @@
-type t = { name : string; body : Atom.t list; head : Atom.t list }
+type t = {
+  name : string;
+  body : Atom.t list;
+  head : Atom.t list;
+  body_vars : Term.Set.t;
+  head_vars : Term.Set.t;
+  frontier : Term.Set.t;
+  exist_vars : Term.Set.t;
+}
+
+(* the engines read the variable sets per trigger: compute them once *)
+let build name body head =
+  let bv = Atom.vars_of_list body and hv = Atom.vars_of_list head in
+  { name; body; head; body_vars = bv; head_vars = hv;
+    frontier = Term.Set.inter bv hv; exist_vars = Term.Set.diff hv bv }
 
 let counter = ref 0
 
@@ -25,16 +39,16 @@ let make ?name body head =
         incr counter;
         Fmt.str "r%d" !counter
   in
-  { name; body; head }
+  build name body head
 
 let name r = r.name
 let body r = r.body
 let head r = r.head
-let body_vars r = Atom.vars_of_list r.body
-let head_vars r = Atom.vars_of_list r.head
-let frontier r = Term.Set.inter (body_vars r) (head_vars r)
-let exist_vars r = Term.Set.diff (head_vars r) (body_vars r)
-let is_datalog r = Term.Set.is_empty (exist_vars r)
+let body_vars r = r.body_vars
+let head_vars r = r.head_vars
+let frontier r = r.frontier
+let exist_vars r = r.exist_vars
+let is_datalog r = Term.Set.is_empty r.exist_vars
 
 let rename ?name r =
   let renaming =
@@ -43,13 +57,12 @@ let rename ?name r =
     List.fold_left
       (fun acc x -> Subst.add x (Term.fresh_var ()) acc)
       Subst.empty
-      (Term.sorted_elements (Term.Set.union (body_vars r) (head_vars r)))
+      (Term.sorted_elements (Term.Set.union r.body_vars r.head_vars))
   in
-  {
-    name = Option.value name ~default:r.name;
-    body = Subst.apply_atoms renaming r.body;
-    head = Subst.apply_atoms renaming r.head;
-  }
+  build
+    (Option.value name ~default:r.name)
+    (Subst.apply_atoms renaming r.body)
+    (Subst.apply_atoms renaming r.head)
 
 let rename_apart r = rename r
 

@@ -4,7 +4,16 @@
     (Section 2.1). The frontier [ȳ] is the set of variables shared by body
     and head; head variables outside the body are existential. *)
 
-type t = private { name : string; body : Atom.t list; head : Atom.t list }
+type t = private {
+  name : string;
+  body : Atom.t list;
+  head : Atom.t list;
+  body_vars : Term.Set.t;
+  head_vars : Term.Set.t;
+  frontier : Term.Set.t;
+  exist_vars : Term.Set.t;
+}
+(** The variable sets are computed once, by {!make} and {!rename}. *)
 
 val make : ?name:string -> Atom.t list -> Atom.t list -> t
 (** [make body head] builds a rule. Raises [Invalid_argument] when body or head is empty, or when a

@@ -21,18 +21,27 @@ let test_triggers_enumeration () =
      same atom pairs in the other order fails; plus (b,c)+(c,?) none. *)
   check_int "one join trigger" 1 (List.length ts)
 
+let fire_once rules i =
+  let gate = Nca_obs.Budget.Gate.make Nca_obs.Budget.unlimited in
+  match
+    Trigger.fire ~gate ~keep:(fun _ -> true) ~round:1 rules ~total:i ~delta:i
+  with
+  | Ok r -> r
+  | Error _ -> Alcotest.fail "unbudgeted round stopped"
+
 let test_trigger_output_fresh () =
   let rule = Parser.rule "E(x,y) -> E(y,z)" in
   let i = Parser.instance "E(a,b)" in
-  match Trigger.all [ rule ] i with
-  | [ tr ] ->
-      let out, ext = Trigger.output tr in
+  match (fire_once [ rule ] i, fire_once [ rule ] i) with
+  | (1, next, out, [ d ]), (1, _, out2, _) ->
       check_int "one atom" 1 (Instance.cardinal out);
-      let z = Subst.apply ext (Term.var "z") in
+      check "next = input + output" true
+        (Instance.equal next (Instance.union i out));
+      check "derivation is the new atom" true (Instance.mem d.fact out);
+      let z = Subst.apply d.ext (Term.var "z") in
       check "existential became a null" true (Term.is_null z);
-      let out2, _ = Trigger.output tr in
       check "fresh nulls each time" false (Instance.equal out out2)
-  | _ -> Alcotest.fail "expected exactly one trigger"
+  | _ -> Alcotest.fail "expected exactly one trigger and one new atom"
 
 let key_testable = Alcotest.testable Trigger.Key.pp Trigger.Key.equal
 

@@ -7,6 +7,12 @@
    `stopped:wall-clock`, and do so well within the slack.  The depth
    reached depends on timing and is not pinned.
 
+   The same run at -j 1 with --stats-json must also keep the major heap
+   (`memory."gc.heap_words".max`) under 16M words: a round is streamed,
+   so a stopped round holds its new atoms, not its triggers.  This is
+   not asserted at -j 2, where the pool still buffers a whole round of
+   triggers before they are consumed.
+
    Usage: test_cli_budget.exe PATH/TO/nocliques.exe *)
 
 let slack_s = 10.
@@ -21,7 +27,7 @@ let read_file path =
 
 (* Run the binary with stdout to a file, polling for exit so a run past
    the slack is killed and reported instead of hanging the suite. *)
-let run_chase exe jobs =
+let run_chase ?(extra = [||]) exe jobs =
   let out = Filename.temp_file "cli_budget" ".out" in
   let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
@@ -29,6 +35,7 @@ let run_chase exe jobs =
     [| exe; "chase"; "example1_bdd"; "-d"; "8"; "--timeout"; "2"; "-j";
        string_of_int jobs |]
   in
+  let args = Array.append args extra in
   let t0 = Unix.gettimeofday () in
   let pid = Unix.create_process exe args Unix.stdin fd null in
   Unix.close fd;
@@ -50,27 +57,60 @@ let run_chase exe jobs =
   Sys.remove out;
   (status, elapsed, stdout)
 
+let max_heap_words = 16_000_000
+
+(* The [max] of the [gc.heap_words] gauge in a --stats-json document. *)
+let heap_words_max json =
+  let key = "\"gc.heap_words\":{\"last\":" in
+  let n = String.length json and m = String.length key in
+  let rec find i =
+    if i + m > n then None
+    else if String.sub json i m = key then
+      Scanf.sscanf_opt (String.sub json (i + m) (n - i - m))
+        "%d,\"max\":%d" (fun _ mx -> mx)
+    else find (i + 1)
+  in
+  find 0
+
+let stop_problem status stdout =
+  match status with
+  | None -> Some (Printf.sprintf "still running after %.0f s" slack_s)
+  | Some (Unix.WEXITED 3) when contains stdout "stopped:wall-clock" -> None
+  | Some (Unix.WEXITED 3) -> Some "exit 3 without stopped:wall-clock"
+  | Some (Unix.WEXITED c) -> Some (Printf.sprintf "exit %d, expected 3" c)
+  | Some _ -> Some "killed by a signal"
+
 let () =
   let exe = Sys.argv.(1) in
   let failed = ref false in
+  let report label problem elapsed stdout =
+    match problem with
+    | None -> Printf.printf "%s, %.2f s\n" label elapsed
+    | Some msg ->
+        failed := true;
+        Printf.printf "%s: FAIL: %s (%.2f s)\n%s" label msg elapsed stdout
+  in
   List.iter
     (fun jobs ->
       let status, elapsed, stdout = run_chase exe jobs in
-      let problem =
-        match status with
-        | None -> Some (Printf.sprintf "still running after %.0f s" slack_s)
-        | Some (Unix.WEXITED 3) when contains stdout "stopped:wall-clock" ->
-            None
-        | Some (Unix.WEXITED 3) -> Some "exit 3 without stopped:wall-clock"
-        | Some (Unix.WEXITED c) -> Some (Printf.sprintf "exit %d, expected 3" c)
-        | Some _ -> Some "killed by a signal"
-      in
-      match problem with
-      | None ->
-          Printf.printf "-j %d: exit 3, stopped:wall-clock, %.2f s\n" jobs
-            elapsed
-      | Some msg ->
-          failed := true;
-          Printf.printf "-j %d: FAIL: %s (%.2f s)\n%s" jobs msg elapsed stdout)
+      report
+        (Printf.sprintf "-j %d: exit 3, stopped:wall-clock" jobs)
+        (stop_problem status stdout) elapsed stdout)
     [ 1; 2 ];
+  (let status, elapsed, stdout =
+     run_chase ~extra:[| "--stats-json" |] exe 1
+   in
+   let heap = heap_words_max stdout in
+   let problem =
+     match (stop_problem status stdout, heap) with
+     | (Some _ as p), _ -> p
+     | None, None -> Some "no gc.heap_words gauge in --stats-json"
+     | None, Some w when w > max_heap_words ->
+         Some (Printf.sprintf "major heap above %d words" max_heap_words)
+     | None, Some _ -> None
+   in
+   report
+     (Printf.sprintf "-j 1 --stats-json: major heap peak %d words"
+        (Option.value heap ~default:0))
+     problem elapsed "");
   if !failed then exit 1

@@ -36,18 +36,40 @@ let test_datalog_rejects_existentials () =
        false
      with Datalog.Not_datalog _ -> true)
 
+(* The independent oracle: both engines run their rounds through
+   [Trigger.fire], so they are checked against a naive fixpoint over
+   full trigger enumeration instead of only against each other. *)
+let naive_closure i rules =
+  let rec go i =
+    let next =
+      List.fold_left
+        (fun acc (tr : Nca_chase.Trigger.t) ->
+          List.fold_left
+            (fun acc a -> Instance.add (Subst.apply_atom tr.hom a) acc)
+            acc (Rule.head tr.rule))
+        i
+        (Nca_chase.Trigger.all rules i)
+    in
+    if Instance.cardinal next = Instance.cardinal i then i else go next
+  in
+  go i
+
+let engines_agree_with_naive i rules ~max_depth ~max_atoms =
+  let naive = naive_closure i rules in
+  let semi = Datalog.closure i rules in
+  let chase = Chase.run ~max_depth ~max_atoms i rules in
+  chase.saturated
+  && Instance.equal naive semi
+  && Instance.equal naive chase.instance
+
 let test_datalog_agrees_with_chase () =
   List.iter
     (fun (rules_src, facts) ->
-      let rules = Parser.parse_rules rules_src in
-      let i = Parser.instance facts in
-      let semi = Datalog.closure i rules in
-      let chase = Chase.run ~max_depth:20 i rules in
-      check "saturated chase" true chase.saturated;
       check
-        (Fmt.str "engines agree on %s" facts)
+        (Fmt.str "engines agree with the naive fixpoint on %s" facts)
         true
-        (Instance.equal semi chase.instance))
+        (engines_agree_with_naive (Parser.instance facts)
+           (Parser.parse_rules rules_src) ~max_depth:20 ~max_atoms:20000))
     [
       ("tc: E(x,y), E(y,z) -> E(x,z).", "E(a,b), E(b,c), E(c,a)");
       ("sym: E(x,y) -> E(y,x).", "E(a,b), E(c,d)");
@@ -230,9 +252,7 @@ let prop_datalog_chase_agree =
       let rules =
         Parser.parse_rules "sym: E(x,y) -> E(y,x). tc: E(x,y), E(y,z) -> E(x,z)."
       in
-      let semi = Datalog.closure i rules in
-      let chase = Chase.run ~max_depth:30 ~max_atoms:100000 i rules in
-      chase.saturated && Instance.equal semi chase.instance)
+      engines_agree_with_naive i rules ~max_depth:30 ~max_atoms:100000)
 
 let props =
   List.map QCheck_alcotest.to_alcotest

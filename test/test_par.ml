@@ -121,7 +121,7 @@ let chase_equal (a : Chase.t) (b : Chase.t) =
    atom the chase can derive, after which enumeration order is stable
    and reruns at any jobs count are identical up to the null shift. *)
 let warmed run =
-  ignore (run () : Chase.t);
+  ignore (run ());
   run ()
 
 let par_chase ~jobs i rules =
@@ -231,26 +231,55 @@ let cancelled = function
   | Some e -> e.Nca_obs.Exhausted.resource = Nca_obs.Exhausted.Cancelled
   | None -> false
 
+(* A stopped run discards its last round whole: with the fact-level
+   store on, every recorded fact must be in the returned instance, and
+   every timestamped or null-provenance term must be a term of it. *)
+module Provenance = Nca_provenance.Provenance
+
+let with_provenance run =
+  Provenance.enable ();
+  Fun.protect ~finally:Provenance.disable (fun () ->
+      let r = run () in
+      (r, Provenance.fold (fun fact _ acc -> fact :: acc) []))
+
+let no_trace_of_discarded_round label inst store =
+  check (label ^ ": every stored fact is in the result") true
+    (List.for_all (fun a -> Instance.mem a inst) store)
+
+let chase_maps_within label (c : Chase.t) =
+  let terms = Chase.terms c in
+  let within m = Term.Map.for_all (fun t _ -> Term.Set.mem t terms) m in
+  check (label ^ ": timestamps within the result") true (within c.timestamps);
+  check (label ^ ": null provenance within the result") true
+    (within c.provenance)
+
 let test_cancel_parity_chase () =
   let e = Nca_core.Rulesets.example1_bdd in
   (* depth 7 has eight round heads; k = 40 can only fire inside a round *)
   List.iter
     (fun k ->
       let run pool =
-        Chase.run ~max_depth:7 ~budget:(cancel_budget k) ?pool
-          e.Nca_core.Rulesets.instance e.Nca_core.Rulesets.rules
+        with_provenance (fun () ->
+            Chase.run ~max_depth:7 ~budget:(cancel_budget k) ?pool
+              e.Nca_core.Rulesets.instance e.Nca_core.Rulesets.rules)
       in
-      let seq = warmed (fun () -> run None) in
-      check (Printf.sprintf "k=%d: cancelled without a pool" k) true
+      let seq, store = warmed (fun () -> run None) in
+      let label = Printf.sprintf "k=%d" k in
+      check (label ^ ": cancelled without a pool") true
         (cancelled seq.Chase.stopped);
+      no_trace_of_discarded_round label seq.Chase.instance store;
+      chase_maps_within label seq;
       if k = 40 then
         check "k=40 stops inside round 7" true (seq.Chase.depth < 7);
       List.iter
         (fun jobs ->
           Pool.with_pool ~jobs (fun pool ->
-              let par = run pool in
-              check (Printf.sprintf "k=%d jobs=%d: same prefix" k jobs) true
-                (chase_equal seq par && cancelled par.Chase.stopped)))
+              let par, store = run pool in
+              let label = Printf.sprintf "k=%d jobs=%d" k jobs in
+              check (label ^ ": same prefix") true
+                (chase_equal seq par && cancelled par.Chase.stopped);
+              no_trace_of_discarded_round label par.Chase.instance store;
+              chase_maps_within label par))
         [ 2; 3; 4 ])
     [ 7; 9; 40 ]
 
@@ -270,25 +299,31 @@ let test_cancel_parity_datalog () =
   List.iter
     (fun k ->
       let run pool =
-        Datalog.saturate ~budget:(cancel_budget k) ?pool chain rules
+        with_provenance (fun () ->
+            Datalog.saturate ~budget:(cancel_budget k) ?pool chain rules)
       in
       match run None with
-      | Ok _ -> Alcotest.failf "k=%d: expected a cancelled closure" k
-      | Error seq ->
+      | Ok _, _ -> Alcotest.failf "k=%d: expected a cancelled closure" k
+      | Error seq, store ->
           check (Printf.sprintf "k=%d: cancelled without a pool" k) true
             (cancelled (Some seq.Datalog.err));
+          no_trace_of_discarded_round (Printf.sprintf "k=%d" k)
+            seq.Datalog.partial store;
           List.iter
             (fun jobs ->
               Pool.with_pool ~jobs (fun pool ->
                   match run pool with
-                  | Ok _ -> Alcotest.failf "k=%d jobs=%d: not cancelled" k jobs
-                  | Error par ->
-                      check (Printf.sprintf "k=%d jobs=%d: same prefix" k jobs)
-                        true
+                  | Ok _, _ ->
+                      Alcotest.failf "k=%d jobs=%d: not cancelled" k jobs
+                  | Error par, store ->
+                      let label = Printf.sprintf "k=%d jobs=%d" k jobs in
+                      check (label ^ ": same prefix") true
                         (cancelled (Some par.Datalog.err)
                         && par.Datalog.rounds = seq.Datalog.rounds
                         && Instance.equal par.Datalog.partial
-                             seq.Datalog.partial)))
+                             seq.Datalog.partial);
+                      no_trace_of_discarded_round label par.Datalog.partial
+                        store))
             [ 2; 3; 4 ])
     [ 3; 12; 25 ]
 
