@@ -533,52 +533,12 @@ let obs_workload ~reps (name, full, smoke_b) ~smoke =
       ("speedup_x100", Json.Int (speedup_x100 ~before:on_us ~after:off_us));
     ]
 
-(* Planner-vs-interpreter rows: the same indexed engines (PR 2-3) run
-   once on the interpreted Hom search (Exec disabled — exactly the PR-3
-   hot path) and once on the compiled join plans, so speedup_x100 is the
-   planner's own contribution on top of indexing/interning. Both sides
-   cross-check; enumeration is order-identical on these rule sets, so the
-   checks are exact. *)
-let with_planner on f =
-  Nca_plan.Exec.set_enabled on;
-  Fun.protect ~finally:(fun () -> Nca_plan.Exec.set_enabled true) f
-
-let plan_chase_workload ~reps (name, full, smoke_b) ~smoke =
-  let b = if smoke then smoke_b else full in
-  let entry = Rulesets.find name in
-  let run on () =
-    with_planner on (fun () ->
-        Chase.run ~max_depth:b.depth ~max_atoms:b.atoms entry.instance
-          entry.rules)
-  in
-  Gc.compact ();
-  let h, before_us = time_us ~reps (run false) in
-  Gc.compact ();
-  let c, after_us = time_us ~reps (run true) in
-  let workload = "plan/chase/" ^ name in
-  check_eq ~workload "atoms" (Instance.cardinal h.Chase.instance)
-    (Instance.cardinal c.Chase.instance);
-  check_eq ~workload "levels" (List.length h.Chase.levels)
-    (List.length c.Chase.levels);
-  check_eq ~workload "saturated" (Bool.to_int h.Chase.saturated)
-    (Bool.to_int c.Chase.saturated);
-  Json.Obj
-    [
-      ("kind", Json.String "plan");
-      ("name", Json.String ("chase/" ^ name));
-      ("max_depth", Json.Int b.depth);
-      ("max_atoms", Json.Int b.atoms);
-      ("atoms", Json.Int (Instance.cardinal c.Chase.instance));
-      ("before_us", Json.Int before_us);
-      ("after_us", Json.Int after_us);
-      ("speedup_x100", Json.Int (speedup_x100 ~before:before_us ~after:after_us));
-      ("counters", counters_of (run true));
-    ]
-
-(* The pure hom-search half of the same comparison: enumerate every
-   trigger of the rule set over its chase fixpoint (trigger enumeration
-   IS the hom search — no instance construction, no key table), once
-   interpreted and once compiled. *)
+(* Planner-vs-interpreter rows: enumerate every trigger of the rule set
+   over its chase fixpoint (trigger enumeration IS the hom search — no
+   instance construction, no key table), once on the interpreted search
+   kept as the test oracle and once through Trigger.all on the compiled
+   join plans, so speedup_x100 is the planner's own contribution on top
+   of indexing/interning. Both sides cross-check their trigger counts. *)
 let plan_hom_workload ~reps (name, full, smoke_b) ~smoke =
   let b = if smoke then smoke_b else full in
   let entry = Rulesets.find name in
@@ -587,14 +547,17 @@ let plan_hom_workload ~reps (name, full, smoke_b) ~smoke =
        entry.rules)
       .Chase.instance
   in
-  let run on () =
-    with_planner on (fun () ->
-        List.length (Trigger.all entry.rules fixpoint))
+  let oracle () =
+    List.fold_left
+      (fun n rule ->
+        n + List.length (Nca_oracle.Hom.all (Rule.body rule) fixpoint))
+      0 entry.rules
   in
+  let compiled () = List.length (Trigger.all entry.rules fixpoint) in
   Gc.compact ();
-  let n_h, before_us = time_us ~reps (run false) in
+  let n_h, before_us = time_us ~reps oracle in
   Gc.compact ();
-  let n_c, after_us = time_us ~reps (run true) in
+  let n_c, after_us = time_us ~reps compiled in
   check_eq ~workload:("plan/hom/" ^ name) "triggers" n_h n_c;
   Json.Obj
     [
@@ -602,32 +565,6 @@ let plan_hom_workload ~reps (name, full, smoke_b) ~smoke =
       ("name", Json.String ("hom/" ^ name));
       ("target_atoms", Json.Int (Instance.cardinal fixpoint));
       ("triggers", Json.Int n_c);
-      ("before_us", Json.Int before_us);
-      ("after_us", Json.Int after_us);
-      ("speedup_x100", Json.Int (speedup_x100 ~before:before_us ~after:after_us));
-    ]
-
-let plan_datalog_workload ~reps (name, instance, rules_src, smoke_scale) ~smoke
-    =
-  let instance = if smoke then smoke_scale instance else instance in
-  let rules = Parser.parse_rules rules_src in
-  let run on () = with_planner on (fun () -> Datalog.closure instance rules) in
-  Gc.compact ();
-  let h, before_us = time_us ~reps (run false) in
-  Gc.compact ();
-  let c, after_us = time_us ~reps (run true) in
-  let workload = "plan/datalog/" ^ name in
-  check_eq ~workload "closure" (Instance.cardinal h) (Instance.cardinal c);
-  if not (Instance.equal h c) then begin
-    Fmt.epr "MISMATCH %s: closures differ@." workload;
-    incr failures
-  end;
-  Json.Obj
-    [
-      ("kind", Json.String "plan");
-      ("name", Json.String ("datalog/" ^ name));
-      ("db_atoms", Json.Int (Instance.cardinal instance));
-      ("closure_atoms", Json.Int (Instance.cardinal c));
       ("before_us", Json.Int before_us);
       ("after_us", Json.Int after_us);
       ("speedup_x100", Json.Int (speedup_x100 ~before:before_us ~after:after_us));
@@ -983,11 +920,6 @@ let run_all ~smoke ~only =
       ]
     else []
   in
-  let plan_chase_rows =
-    chase_workloads
-    |> List.filter (fun (n, _, _) -> sel ("plan/chase/" ^ n))
-    |> List.map (fun w -> plan_chase_workload ~reps w ~smoke)
-  in
   let plan_hom_rows =
     chase_workloads
     |> List.filter (fun (n, _, _) ->
@@ -995,11 +927,6 @@ let run_all ~smoke ~only =
                         "all_pairs" ])
     |> List.filter (fun (n, _, _) -> sel ("plan/hom/" ^ n))
     |> List.map (fun w -> plan_hom_workload ~reps w ~smoke)
-  in
-  let plan_datalog_rows =
-    datalog_workloads
-    |> List.filter (fun (n, _, _, _) -> sel ("plan/datalog/" ^ n))
-    |> List.map (fun w -> plan_datalog_workload ~reps w ~smoke)
   in
   let par_chase_rows =
     chase_workloads
@@ -1033,11 +960,10 @@ let run_all ~smoke ~only =
            and forbidding an E-loop; an exhausted dfs_verdict next to a \
            definitive sat_verdict means the SAT engine settled a budget \
            the DFS could not finish. \
-           plan rows: before = interpreted fewest-candidates-first Hom \
-           search (planner disabled), after = compiled join plans with \
-           leapfrog intersection, on otherwise identical engines; \
-           plan/hom rows time trigger enumeration alone over the chase \
-           fixpoint. par rows: the same engine at --jobs 1/2/4 on a \
+           plan rows: trigger enumeration alone over the chase \
+           fixpoint; before = the interpreted fewest-candidates-first \
+           search kept as the test oracle, after = Trigger.all on the \
+           compiled join plans with leapfrog intersection. par rows: the same engine at --jobs 1/2/4 on a \
            worker-domain pool; [cores] is the host's available core \
            count — with cores = 1 the domains time-slice a single core \
            and the jobs > 1 points measure coordination overhead, not \
@@ -1052,7 +978,7 @@ let run_all ~smoke ~only =
         Json.List
           (chase_rows @ datalog_rows @ hom_rows @ fm_rows @ rewrite_rows
           @ classify_rows @ provenance_rows @ obs_rows @ intern_rows
-          @ plan_chase_rows @ plan_hom_rows @ plan_datalog_rows
+          @ plan_hom_rows
           @ par_chase_rows @ par_datalog_rows) );
     ]
 

@@ -121,7 +121,6 @@ type obs = {
   flame : string option;
   timeout : float option;
   provenance : bool;
-  no_planner : bool;
   jobs : int;
 }
 
@@ -183,15 +182,6 @@ let obs_term =
              counters of --stats-json and the store behind the proof \
              artefacts (implied by --explain, --proof-json, --proof-dot).")
   in
-  let no_planner_arg =
-    Arg.(
-      value & flag
-      & info [ "no-planner" ]
-          ~doc:
-            "Run homomorphism search on the interpreted engine instead of \
-             the compiled join plans (A/B debugging; same as setting \
-             NOCLIQUES_NO_PLANNER). Output is identical either way.")
-  in
   let jobs_arg =
     Arg.(
       value & opt int 1
@@ -204,8 +194,7 @@ let obs_term =
              default) is the plain sequential engine.")
   in
   Cterm.(
-    const (fun trace stats_json trace_json flame timeout provenance
-               no_planner jobs ->
+    const (fun trace stats_json trace_json flame timeout provenance jobs ->
         if jobs < 1 then begin
           Fmt.epr "nocliques: --jobs must be >= 1 (got %d)@." jobs;
           Stdlib.exit 2
@@ -217,11 +206,10 @@ let obs_term =
           flame;
           timeout;
           provenance;
-          no_planner;
           jobs;
         })
     $ trace_arg $ stats_json_arg $ trace_json_arg $ flame_arg $ timeout_arg
-    $ provenance_arg $ no_planner_arg $ jobs_arg)
+    $ provenance_arg $ jobs_arg)
 
 let budget_of obs =
   match obs.timeout with
@@ -262,7 +250,6 @@ let scrub_times_requested () =
 let with_obs obs f =
   let recording = obs.trace || obs.stats_json in
   let tracing = obs.trace_json <> None || obs.flame <> None in
-  if obs.no_planner then Nca_plan.Exec.set_enabled false;
   if recording then Telemetry.enable ();
   (* --stats-json implies the v6 histograms/memory blocks; the timeline
      ring only runs when an export asked for it *)
@@ -847,11 +834,16 @@ let analyze_cmd =
       edges;
     let g = Nca_graph.Digraph.of_instance e t.full in
     let tournament = Nca_graph.Tournament.max_tournament g in
-    Fmt.pr "max tournament=%d loop=%b bound R(4,…,4)=%d@."
+    let bound =
+      Theorem1.tournament_size_bound
+        ~rewriting_disjuncts:(Ucq.size t.rewriting)
+    in
+    (* a bound past max_int saturates there *)
+    Fmt.pr "max tournament=%d loop=%b bound R(4,…,4)%s%d@."
       (List.length tournament)
       (Cq.holds t.full (Cq.loop_query e))
-      (Theorem1.tournament_size_bound
-         ~rewriting_disjuncts:(Ucq.size t.rewriting));
+      (if bound = max_int then ">=" else "=")
+      bound;
     let proof_status =
       if proofs = (None, None) then 0
       else emit_certificate proofs (Certificate.of_analysis t tournament)
@@ -1281,16 +1273,16 @@ let plan_cmd =
     let stats = prog.Parser.facts in
     List.iter
       (fun r ->
-        let plan = Nca_plan.Plan.compile ~stats (Rule.body r) in
+        let plan = Plan.compile ~stats (Rule.body r) in
         if dot then
-          Fmt.pr "// rule %s@.%a" (Rule.name r) Nca_plan.Plan.pp_dot plan
-        else Fmt.pr "rule %s:@.%a@." (Rule.name r) Nca_plan.Plan.pp plan)
+          Fmt.pr "// rule %s@.%a" (Rule.name r) Plan.pp_dot plan
+        else Fmt.pr "rule %s:@.%a@." (Rule.name r) Plan.pp plan)
       prog.Parser.rules;
     List.iteri
       (fun i q ->
-        let plan = Nca_plan.Plan.compile ~stats (Cq.body q) in
-        if dot then Fmt.pr "// query %d@.%a" i Nca_plan.Plan.pp_dot plan
-        else Fmt.pr "query %d:@.%a@." i Nca_plan.Plan.pp plan)
+        let plan = Plan.compile ~stats (Cq.body q) in
+        if dot then Fmt.pr "// query %d@.%a" i Plan.pp_dot plan
+        else Fmt.pr "query %d:@.%a@." i Plan.pp plan)
       prog.Parser.queries;
     0
   in

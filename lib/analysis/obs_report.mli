@@ -25,7 +25,9 @@
     {!Nca_provenance.Provenance} store's counters (all zero when
     recording is off); [store_bytes] is the store's deterministic
     structural size estimate, not a heap measurement. [v3] added the
-    [plan] object. [v4] added the [parallel] object: the worker-pool
+    [plan] object; its [enabled] field is the constant [true] since the
+    compiled executor became the only matcher, kept so the shape does
+    not change. [v4] added the [parallel] object: the worker-pool
     accounting of a [--jobs N] run — crew size, batches executed, and
     per-domain (tasks, busy_us) — or the deterministic
     [{jobs: 1, batches: 0, domains: []}] when the run was sequential.

@@ -28,7 +28,7 @@ type variant = Oblivious | Semi_oblivious | Restricted
 let satisfied tr inst =
   let rule = tr.Trigger.rule in
   let init = Subst.restrict (Rule.frontier rule) tr.Trigger.hom in
-  Nca_plan.Exec.exists ~init (Rule.head rule) inst
+  Hom.exists ~init (Rule.head rule) inst
 
 module Keytbl = Hashtbl.Make (Trigger.Key)
 

@@ -38,7 +38,7 @@ let frontier_key tr = make_key tr.rule (Rule.frontier tr.rule) tr.hom
 let all rules i =
   List.concat_map
     (fun rule ->
-      List.map (fun hom -> { rule; hom }) (Nca_plan.Exec.all (Rule.body rule) i))
+      List.map (fun hom -> { rule; hom }) (Hom.all (Rule.body rule) i))
     rules
 
 (* Semi-naive enumeration: a homomorphism into [total] uses a delta atom
@@ -80,7 +80,7 @@ let iter_delta ?pool ~step rules ~total ~delta consume =
     Pool.iter_ordered pool (Array.length tasks)
       (fun i emit ->
         let rule, goals = tasks.(i) in
-        Nca_plan.Exec.iter_targets goals (fun hom ->
+        Hom.iter_targets goals (fun hom ->
             step ();
             emit { rule; hom }))
       consume

@@ -19,8 +19,10 @@
     Question 46. *)
 
 val upper_bound : int list -> int
-(** [upper_bound [s1; …; sk]] — an upper bound on [R(s1, …, sk)]. Raises
-    [Invalid_argument] on an empty list or arguments [< 1]. *)
+(** [upper_bound [s1; …; sk]] — an upper bound on [R(s1, …, sk)]. A bound
+    past [max_int] saturates to [max_int] (from [R(4, …, 4)] with 12
+    fours on). Raises [Invalid_argument] on an empty list or arguments
+    [< 1]. *)
 
 val four_clique_bound : colors:int -> int
 (** [four_clique_bound ~colors:k] is [upper_bound [4; …; 4]] with [k]

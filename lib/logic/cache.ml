@@ -1,4 +1,3 @@
-open Nca_logic
 module Telemetry = Nca_obs.Telemetry
 
 let ev_miss = Nca_obs.Events.label "plan.cache.miss"

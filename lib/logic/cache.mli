@@ -9,8 +9,6 @@
     interned rule ids — the body ids {e are} the interned identity of the
     join). *)
 
-open Nca_logic
-
 val find_or_compile : ?stats:Instance.t -> Atom.t list -> Plan.t
 (** Look the body up, compiling (under a [plan.compile] telemetry span)
     on a miss. Hits and misses are counted as [plan.cache.hit] /

@@ -79,20 +79,8 @@ let answers i q =
   List.rev !acc
 
 let subsumes q q' =
-  List.length q.answer = List.length q'.answer
-  &&
-  match
-    List.fold_left2
-      (fun acc x t ->
-        match acc with
-        | None -> None
-        | Some s -> (
-            match Subst.find_opt x s with
-            | Some u -> if Term.equal u t then acc else None
-            | None -> Some (Subst.add x t s)))
-      (Some Subst.empty) q.answer q'.answer
-  with
-  | None -> None |> Option.is_some
+  match init_of_tuple q (Some q'.answer) with
+  | None -> false
   | Some init -> Hom.exists ~init q.body (Instance.of_list q'.body)
 
 let equivalent q q' = subsumes q q' && subsumes q' q

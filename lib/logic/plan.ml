@@ -1,5 +1,3 @@
-open Nca_logic
-
 type arg = Const of Term.t | Slot of int
 
 type t = {

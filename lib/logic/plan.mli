@@ -4,21 +4,18 @@
     mappable terms are numbered into dense {e slots}, every argument
     position is classified as a constant or a slot, and for every possible
     root atom a static step order (a {e variant}) is precomputed. The
-    executor ({!Exec}) then runs a variant as a tight register machine
+    executor ({!Hom}) then runs a variant as a tight register machine
     over the sorted posting arrays of the target instance — no
     re-consulting of atom structure mid-search.
 
     The root variant is chosen {e at call time} with exactly the
-    fewest-candidates scoring of the interpreted engine
-    ({!Nca_logic.Instance.candidate_count} over the goals in original
+    fewest-candidates scoring of the interpreted search kept as the test
+    oracle ({!Instance.candidate_count} over the goals in original
     order, first strict minimum), so for bodies of at most two atoms the
-    compiled enumeration order is identical to [Hom]'s — the property the
-    byte-identity goldens rely on. For larger bodies the interpreted
-    engine re-picks dynamically per search node while a variant's
-    continuation is static, so match {e order} may deviate (the match
-    {e set} never does); see DESIGN.md. *)
-
-open Nca_logic
+    compiled enumeration order is identical to the oracle's. For larger
+    bodies the oracle re-picks dynamically per search node while a
+    variant's continuation is static, so match {e order} may deviate
+    (the match {e set} never does); see DESIGN.md. *)
 
 type arg =
   | Const of Term.t  (** rigid: must equal the target argument *)

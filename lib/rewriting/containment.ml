@@ -1,10 +1,8 @@
 open Nca_logic
 
 (* q ⊑ q' iff q' maps homomorphically into q with answers aligned:
-   Cq.subsumes q' q is exactly that homomorphism (run on the compiled
-   executor; Exec.subsumes falls back to Cq.subsumes' interpreted search
-   when the planner is disabled). *)
-let contained q q' = Nca_plan.Exec.subsumes q' q
+   Cq.subsumes q' q is exactly that homomorphism. *)
+let contained q q' = Cq.subsumes q' q
 let equivalent q q' = contained q q' && contained q' q
 
 let canonical_database q =

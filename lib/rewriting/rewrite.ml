@@ -51,7 +51,7 @@ let rewrite_ucq ?max_rounds ?max_disjuncts ?(minimize = true)
         if minimize then
           List.fold_left
             (fun fresh q ->
-              let subsumed_by q' = Nca_plan.Exec.subsumes q' q in
+              let subsumed_by q' = Cq.subsumes q' q in
               if List.exists subsumed_by all || List.exists subsumed_by fresh
               then fresh
               else q :: fresh)
@@ -81,7 +81,7 @@ let rewrite_ucq ?max_rounds ?max_disjuncts ?(minimize = true)
                 let tgt = Instance.of_list (Cq.body q') in
                 Instance.cardinal (Instance.of_list (Cq.body q))
                 = Instance.cardinal tgt
-                && Nca_plan.Exec.exists ~inj:true ~init (Cq.body q) tgt
+                && Hom.exists ~inj:true ~init (Cq.body q) tgt
           in
           List.fold_left
             (fun fresh q ->

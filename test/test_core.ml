@@ -240,6 +240,28 @@ let test_theorem1_tournament_bound () =
     (Theorem1.tournament_size_bound ~rewriting_disjuncts:3
     > Theorem1.tournament_size_bound ~rewriting_disjuncts:2)
 
+(* The Greenwood–Gleason values of R(4, …, 4) up to 11 colours are
+   pinned; from 12 colours the bound is past max_int and saturates there
+   instead of wrapping, and the 2060 colours of example1_bdd's Q_⊠ cost
+   nothing. *)
+let test_tournament_bound_saturates () =
+  let bound k = Theorem1.tournament_size_bound ~rewriting_disjuncts:k in
+  List.iteri
+    (fun i v -> check_int (Fmt.str "%d colours" (i + 1)) v (bound (i + 1)))
+    [
+      4; 18; 254; 7006; 313412; 20615384; 1871833000; 224265648842;
+      34272175736756; 6505750440339772; 1501728519987604064;
+    ];
+  for k = 12 to 40 do
+    check
+      (Fmt.str "positive and monotone at %d colours" k)
+      true
+      (bound k > 0 && bound k >= bound (k - 1))
+  done;
+  let t0 = Unix.gettimeofday () in
+  check "2060 colours saturate" true (bound 2060 = max_int);
+  check "2060 colours in < 1 s" true (Unix.gettimeofday () -. t0 < 1.0)
+
 let test_all_pairs_tournament_with_loop () =
   let entry = Rulesets.all_pairs in
   let v = Theorem1.validate ~max_depth:3 ~e:entry.e entry.instance entry.rules in
@@ -460,6 +482,7 @@ let () =
           tc "zoo" test_theorem1_zoo_bdd_sets;
           tc "series monotone" test_theorem1_series_monotone;
           tc "tournament bound (question 46)" test_theorem1_tournament_bound;
+          tc "tournament bound saturates" test_tournament_bound_saturates;
           tc "all-pairs loop" test_all_pairs_tournament_with_loop;
         ] );
       ( "zoo",

@@ -37,25 +37,11 @@ let test_datalog_rejects_existentials () =
      with Datalog.Not_datalog _ -> true)
 
 (* The independent oracle: both engines run their rounds through
-   [Trigger.fire], so they are checked against a naive fixpoint over
-   full trigger enumeration instead of only against each other. *)
-let naive_closure i rules =
-  let rec go i =
-    let next =
-      List.fold_left
-        (fun acc (tr : Nca_chase.Trigger.t) ->
-          List.fold_left
-            (fun acc a -> Instance.add (Subst.apply_atom tr.hom a) acc)
-            acc (Rule.head tr.rule))
-        i
-        (Nca_chase.Trigger.all rules i)
-    in
-    if Instance.cardinal next = Instance.cardinal i then i else go next
-  in
-  go i
-
+   [Trigger.fire] on the compiled search, so they are checked against a
+   naive fixpoint over the interpreted search instead of only against
+   each other. *)
 let engines_agree_with_naive i rules ~max_depth ~max_atoms =
-  let naive = naive_closure i rules in
+  let naive = Nca_oracle.Naive.closure i rules in
   let semi = Datalog.closure i rules in
   let chase = Chase.run ~max_depth ~max_atoms i rules in
   chase.saturated

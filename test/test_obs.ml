@@ -263,7 +263,7 @@ let test_stats_json_golden () =
     with_telemetry @@ fun () ->
     (* drop memoized plans so the cache counters don't depend on what the
        other tests compiled before this one ran *)
-    Nca_plan.Cache.clear ();
+    Cache.clear ();
     (* likewise the process-wide SAT totals: another test in this binary
        may have run the finite-model engine *)
     Nca_sat.Stats.reset ();

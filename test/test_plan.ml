@@ -1,15 +1,16 @@
-(* The compiled-plan executor.
+(* The compiled-plan executor behind Hom.
 
    Three families of guarantees:
    - the sorted posting arrays the leapfrog merge runs on are exactly the
      positional index, in ascending atom-id order (Instance invariant);
-   - the executor is a drop-in for the interpreted Hom search: same match
-     sets on random bodies/instances (plain, injective, seeded with an
-     initial binding), and for bodies of at most two atoms the very same
-     enumeration order — the property the byte-identity goldens lean on;
-   - the engines rewired onto it (Trigger.all_delta, Datalog, Chase) agree
-     with the interpreted oracle, including under budgets: the same
-     Exhausted verdicts, the same closures, isomorphic chase results. *)
+   - Hom agrees with the interpreted search kept in test/oracle: same
+     match sets on random bodies/instances (plain, injective, seeded with
+     an initial binding), and for bodies of at most two atoms the very
+     same enumeration order;
+   - the engines built on it (Trigger.all_delta, Datalog, Chase) agree
+     with references built on the oracle, including under budgets: the
+     same Exhausted verdicts, the same closures, the same chase results
+     up to null names. *)
 
 open Nca_logic
 module Rulesets = Nca_core.Rulesets
@@ -17,9 +18,7 @@ module Trigger = Nca_chase.Trigger
 module Chase = Nca_chase.Chase
 module Datalog = Nca_chase.Datalog
 module Exhausted = Nca_obs.Exhausted
-module Plan = Nca_plan.Plan
-module Cache = Nca_plan.Cache
-module Exec = Nca_plan.Exec
+module Oracle = Nca_oracle.Hom
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -28,11 +27,6 @@ let e2 = Symbol.make "E" 2
 let a1 = Symbol.make "A" 1
 let b1 = Symbol.make "B" 1
 let sign = Symbol.Set.of_list [ e2; a1; b1 ]
-
-let with_planner b f =
-  let prev = Exec.enabled () in
-  Exec.set_enabled b;
-  Fun.protect ~finally:(fun () -> Exec.set_enabled prev) f
 
 (* canonical form of a match: the bindings as (code, code) pairs in key
    order — total, and independent of the map's internal shape *)
@@ -119,7 +113,7 @@ let prop_posting_invariant =
         [ inst; shrunk ])
 
 (* ------------------------------------------------------------------ *)
-(* Differential: executor vs interpreted Hom *)
+(* Differential: executor vs the interpreted oracle *)
 
 let init01 =
   Subst.add (Term.var "v0") (Term.cst "c0") Subst.empty
@@ -127,25 +121,19 @@ let init01 =
 let prop_same_matches =
   QCheck.Test.make ~name:"compiled ≡ interpreted: match sets" ~count:300
     search_arb (fun (body, inst) ->
-      let c = with_planner true (fun () -> Exec.all body inst) in
-      let h = Hom.all body inst in
-      norm c = norm h)
+      norm (Hom.all body inst) = norm (Oracle.all body inst))
 
 let prop_same_matches_inj =
   QCheck.Test.make ~name:"compiled ≡ interpreted: injective match sets"
     ~count:300 search_arb (fun (body, inst) ->
-      let c = with_planner true (fun () -> Exec.all ~inj:true body inst) in
-      let h = Hom.all ~inj:true body inst in
-      norm c = norm h)
+      norm (Hom.all ~inj:true body inst)
+      = norm (Oracle.all ~inj:true body inst))
 
 let prop_same_matches_init =
   QCheck.Test.make ~name:"compiled ≡ interpreted: seeded match sets"
     ~count:300 search_arb (fun (body, inst) ->
-      let c =
-        with_planner true (fun () -> Exec.all ~init:init01 body inst)
-      in
-      let h = Hom.all ~init:init01 body inst in
-      norm c = norm h)
+      norm (Hom.all ~init:init01 body inst)
+      = norm (Oracle.all ~init:init01 body inst))
 
 let prop_same_order_small =
   QCheck.Test.make
@@ -153,22 +141,18 @@ let prop_same_order_small =
     ~count:300
     (QCheck.make QCheck.Gen.(pair (list_size (int_range 1 2) atom_gen) inst_gen))
     (fun (body, inst) ->
-      let c = with_planner true (fun () -> Exec.all body inst) in
-      let h = Hom.all body inst in
-      keys c = keys h
-      &&
-      let ci = with_planner true (fun () -> Exec.all ~inj:true body inst) in
-      keys ci = keys (Hom.all ~inj:true body inst))
+      keys (Hom.all body inst) = keys (Oracle.all body inst)
+      && keys (Hom.all ~inj:true body inst)
+         = keys (Oracle.all ~inj:true body inst))
 
 let test_empty_body () =
   let tgt = Parser.instance "E(a,b)" in
-  with_planner true @@ fun () ->
-  check_int "one empty match" 1 (Exec.count [] tgt);
-  check "exists" true (Exec.exists [] tgt);
-  check "all = [empty]" true (Exec.all [] tgt = [ Subst.empty ])
+  check_int "one empty match" 1 (Hom.count [] tgt);
+  check "exists" true (Hom.exists [] tgt);
+  check "all = [empty]" true (Hom.all [] tgt = [ Subst.empty ])
 
 (* ------------------------------------------------------------------ *)
-(* Rewired engines vs the interpreted oracle *)
+(* Engines vs references built on the oracle *)
 
 let split_delta inst =
   let _, delta =
@@ -178,22 +162,38 @@ let split_delta inst =
   in
   delta
 
+(* The oracle's homs of [rule]'s body into [total] whose image touches
+   [delta]: the triggers a semi-naive round over ([total], [delta]) must
+   enumerate, each once. *)
+let oracle_delta rule ~total ~delta =
+  List.filter
+    (fun hom ->
+      List.exists
+        (fun a -> Instance.mem (Subst.apply_atom hom a) delta)
+        (Rule.body rule))
+    (Oracle.all (Rule.body rule) total)
+
 let prop_all_delta_agree =
   QCheck.Test.make ~name:"Trigger.all_delta: compiled ≡ interpreted"
     ~count:100 (QCheck.make inst_gen) (fun total ->
       let delta = split_delta total in
-      let run on =
-        with_planner on (fun () ->
-            List.map Trigger.key (Trigger.all_delta rules_sym_tc ~total ~delta))
+      let oracle rule =
+        List.map
+          (fun hom -> Trigger.key { Trigger.rule; hom })
+          (oracle_delta rule ~total ~delta)
       in
+      let compiled = Trigger.all_delta rules_sym_tc ~total ~delta in
       let sort = List.sort Trigger.Key.compare in
-      List.equal Trigger.Key.equal (sort (run true)) (sort (run false)))
+      List.equal Trigger.Key.equal
+        (sort (List.map Trigger.key compiled))
+        (sort (List.concat_map oracle rules_sym_tc)))
 
 let prop_datalog_agree =
   QCheck.Test.make ~name:"Datalog closure: compiled ≡ interpreted" ~count:50
     (QCheck.make inst_gen) (fun inst ->
-      let run on = with_planner on (fun () -> Datalog.closure inst rules_sym_tc) in
-      Instance.equal (run true) (run false))
+      Instance.equal
+        (Datalog.closure inst rules_sym_tc)
+        (Nca_oracle.Naive.closure inst rules_sym_tc))
 
 let linear_rules_arb =
   QCheck.make
@@ -226,19 +226,73 @@ let canon inst =
     (function Term.Null n -> Term.Null (Hashtbl.find tbl n) | t -> t)
     inst
 
+(* The level-by-level oblivious chase (Section 2.2) over the oracle:
+   round [r] fires, in rule order and in the oracle's enumeration order,
+   every trigger whose body image touches the atoms new at round [r - 1],
+   creating its fresh nulls in name order. With single-atom bodies that
+   is the order Chase.run consumes triggers in, so both number their
+   nulls alike. It stops as Chase.run does: at level [max_depth], after
+   the round that takes the instance past [max_atoms], or saturated at a
+   round without triggers. *)
+type oracle_run = {
+  instance : Instance.t;
+  depth : int;
+  saturated : bool;
+  stopped : Exhausted.resource option;
+}
+
+let oracle_chase ~max_depth ~max_atoms start rules =
+  let fire acc (rule, hom) =
+    let ext =
+      List.fold_left
+        (fun ext z -> Subst.add z (Term.fresh_null ()) ext)
+        hom
+        (Term.sorted_elements (Rule.exist_vars rule))
+    in
+    List.fold_left
+      (fun (next, fresh) h ->
+        let a = Subst.apply_atom ext h in
+        if Instance.mem a next then (next, fresh)
+        else (Instance.add a next, Instance.add a fresh))
+      acc (Rule.head rule)
+  in
+  let rec go total delta depth =
+    if depth >= max_depth then
+      { instance = total; depth; saturated = false; stopped = Some Depth }
+    else
+      match
+        List.concat_map
+          (fun rule ->
+            List.map (fun hom -> (rule, hom)) (oracle_delta rule ~total ~delta))
+          rules
+      with
+      | [] -> { instance = total; depth; saturated = true; stopped = None }
+      | triggers ->
+          let next, fresh =
+            List.fold_left fire (total, Instance.empty) triggers
+          in
+          if Instance.cardinal next > max_atoms then
+            {
+              instance = next;
+              depth = depth + 1;
+              saturated = false;
+              stopped = Some Atoms;
+            }
+          else go next fresh (depth + 1)
+  in
+  go start start 0
+
 let prop_chase_agree =
   QCheck.Test.make ~name:"chase: compiled ≡ interpreted (up to null names)"
     ~count:50 linear_rules_arb (fun rules ->
       QCheck.assume (rules <> []);
       let i = Parser.instance "E(c0,c1), A(c0)" in
-      let run on =
-        with_planner on (fun () -> Chase.run ~max_depth:4 ~max_atoms:2000 i rules)
-      in
-      let c = run true and h = run false in
-      c.Chase.saturated = h.Chase.saturated
-      && c.Chase.depth = h.Chase.depth
-      && resource c.Chase.stopped = resource h.Chase.stopped
-      && Instance.equal (canon c.Chase.instance) (canon h.Chase.instance))
+      let c = Chase.run ~max_depth:4 ~max_atoms:2000 i rules in
+      let h = oracle_chase ~max_depth:4 ~max_atoms:2000 i rules in
+      c.Chase.saturated = h.saturated
+      && c.Chase.depth = h.depth
+      && resource c.Chase.stopped = h.stopped
+      && Instance.equal (canon c.Chase.instance) (canon h.instance))
 
 let prop_budget_prefix_survives =
   QCheck.Test.make
@@ -246,14 +300,11 @@ let prop_budget_prefix_survives =
     ~count:30 linear_rules_arb (fun rules ->
       QCheck.assume (rules <> []);
       let i = Parser.instance "E(c0,c1), A(c0)" in
-      let run on depth =
-        with_planner on (fun () ->
-            Chase.run ~max_depth:depth ~max_atoms:100000 i rules)
-      in
-      let cut = run true 2 and cut_i = run false 2 in
-      let full = run true 5 in
-      resource cut.Chase.stopped = resource cut_i.Chase.stopped
-      && Instance.equal (canon cut.Chase.instance) (canon cut_i.Chase.instance)
+      let run depth = Chase.run ~max_depth:depth ~max_atoms:100000 i rules in
+      let cut = run 2 and full = run 5 in
+      let cut_o = oracle_chase ~max_depth:2 ~max_atoms:100000 i rules in
+      resource cut.Chase.stopped = cut_o.stopped
+      && Instance.equal (canon cut.Chase.instance) (canon cut_o.instance)
       && List.length cut.Chase.levels <= List.length full.Chase.levels
       && Instance.subset (canon cut.Chase.instance) (canon full.Chase.instance))
 
@@ -288,15 +339,6 @@ let test_cache_discipline () =
   Cache.clear ();
   check "cleared" true (Cache.stats () = (0, 0, 0))
 
-let test_escape_hatch () =
-  (* set_enabled false must route everything through the interpreted
-     engine and still give the same answers *)
-  let inst = Rulesets.random_instance ~seed:7 ~constants:3 ~atoms:6 sign in
-  let body = tc_body in
-  let on = with_planner true (fun () -> Exec.all body inst) in
-  let off = with_planner false (fun () -> Exec.all body inst) in
-  check "on = off" true (keys on = keys off)
-
 (* ------------------------------------------------------------------ *)
 
 let props =
@@ -322,7 +364,6 @@ let () =
           tc "empty body" `Quick test_empty_body;
           tc "plan shape" `Quick test_plan_shape;
           tc "cache discipline" `Quick test_cache_discipline;
-          tc "escape hatch" `Quick test_escape_hatch;
         ] );
       ("properties", props);
     ]

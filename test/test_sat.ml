@@ -163,6 +163,139 @@ let test_grounding_counts () =
      implications for f's atoms *)
   check_int "clauses" 7 clauses
 
+(* A recording backend behind the [Solver_intf.S] seam (crossbow's
+   test_sat_inst technique): every variable and every clause the
+   grounding emits, with its kind, lands in one log, so a change to the
+   encoding shows up here even when no solver result changes. [solve]
+   answers Unsat, which walks [search] through every deepening round. *)
+module Recorder = struct
+  type t = { mutable vars : int }
+  type event = Var of int | Event of string
+
+  let log = ref []
+  let emit e = log := e :: !log
+
+  let create () =
+    emit (Event "create");
+    { vars = 0 }
+
+  let new_var s =
+    let v = s.vars in
+    s.vars <- v + 1;
+    emit (Var v);
+    v
+
+  let clause kind (_ : t) lits =
+    emit
+      (Event (Fmt.str "%s %a" kind Fmt.(list ~sep:(any " ") Lit.pp) lits))
+
+  let add_clause s = clause "cl" s
+  let add_symmetry_clause s = clause "sym" s
+  let add_at_least_one_clause s = clause "alo" s
+  let add_at_most_one_clause s = clause "amo" s
+
+  let solve ?budget:_ _ =
+    emit (Event "solve");
+    Nca_sat.Solver_intf.Unsat
+
+  let model_value _ _ = invalid_arg "Recorder.model_value"
+
+  let stats s =
+    {
+      Nca_sat.Solver_intf.vars = s.vars;
+      clauses = 0;
+      learnt = 0;
+      decisions = 0;
+      conflicts = 0;
+      propagations = 0;
+    }
+end
+
+module Recorded = Nca_sat.Fm_inst.Make (Recorder)
+
+(* The log of [search] over [fresh] fresh elements, forbidding an
+   E-loop, as [finite NAME --engine sat --fresh N --forbid-loop] grounds
+   it; runs of [var] events are folded into one [vars i-j] event. *)
+let grounding_log ~fresh name =
+  let entry = Rulesets.find name in
+  Recorder.log := [];
+  let outcome =
+    Recorded.search ~forbid:(Cq.loop_query e2)
+      ~base:(Term.sorted_elements (Instance.adom entry.Rulesets.instance))
+      ~fresh:
+        (List.init fresh (fun _ ->
+             Term.cst (Names.name (Names.fresh ~prefix:"m" ()))))
+      entry.Rulesets.instance entry.Rulesets.rules
+  in
+  check (name ^ ": no model") true (outcome = Fm_inst.No_model);
+  let rec render = function
+    | [] -> []
+    | Recorder.Event e :: rest -> e :: render rest
+    | Recorder.Var lo :: rest ->
+        let rec run hi = function
+          | Recorder.Var v :: rest when v = hi + 1 -> run v rest
+          | rest -> Fmt.str "vars %d-%d" lo hi :: render rest
+        in
+        run lo rest
+  in
+  render (List.rev !Recorder.log)
+
+(* Round k of the deepening grounds over the base, the first k fresh
+   elements and the rule constants: E-atoms in domain order (vars 0-3 at
+   k = 0, 0-8 at k = 1, 0-15 at k = 2), then one usage variable per fresh
+   element. Literals print as var / ~var. *)
+let test_grounding_log () =
+  List.iter
+    (fun (name, fresh, expected) ->
+      Alcotest.(check (list string))
+        (Fmt.str "%s at fresh %d" name fresh)
+        expected (grounding_log ~fresh name))
+    [
+      ( "succ_only", 2,
+        [
+          "create"; "vars 0-3"; "cl 1"; "alo ~0 0 1"; "alo ~1 2 3";
+          "alo ~2 0 1"; "alo ~3 2 3"; "amo ~0"; "amo ~3"; "solve"; "create";
+          "vars 0-8"; "cl 1"; "alo ~0 0 1 2"; "alo ~1 3 4 5"; "alo ~2 6 7 8";
+          "alo ~3 0 1 2"; "alo ~4 3 4 5"; "alo ~5 6 7 8"; "alo ~6 0 1 2";
+          "alo ~7 3 4 5"; "alo ~8 6 7 8"; "amo ~0"; "amo ~4"; "amo ~8";
+          "vars 9-9"; "cl ~2 9"; "cl ~5 9"; "cl ~6 9"; "cl ~7 9"; "cl ~8 9";
+          "solve"; "create"; "vars 0-15"; "cl 1"; "alo ~0 0 1 2 3";
+          "alo ~1 4 5 6 7"; "alo ~2 8 9 10 11"; "alo ~3 12 13 14 15";
+          "alo ~4 0 1 2 3"; "alo ~5 4 5 6 7"; "alo ~6 8 9 10 11";
+          "alo ~7 12 13 14 15"; "alo ~8 0 1 2 3"; "alo ~9 4 5 6 7";
+          "alo ~10 8 9 10 11"; "alo ~11 12 13 14 15"; "alo ~12 0 1 2 3";
+          "alo ~13 4 5 6 7"; "alo ~14 8 9 10 11"; "alo ~15 12 13 14 15";
+          "amo ~0"; "amo ~5"; "amo ~10"; "amo ~15"; "vars 16-16"; "cl ~2 16";
+          "cl ~6 16"; "cl ~8 16"; "cl ~9 16"; "cl ~10 16"; "cl ~11 16";
+          "cl ~14 16"; "vars 17-17"; "cl ~3 17"; "cl ~7 17"; "cl ~11 17";
+          "cl ~12 17"; "cl ~13 17"; "cl ~14 17"; "cl ~15 17"; "sym ~17 16";
+          "solve";
+        ] );
+      ( "example1", 1,
+        [
+          "create"; "vars 0-3"; "cl 1"; "alo ~0 0 1"; "alo ~1 2 3";
+          "alo ~2 0 1"; "alo ~3 2 3"; "cl ~0 0"; "cl ~0 ~1 1"; "cl ~1 ~2 0";
+          "cl ~1 ~3 1"; "cl ~0 ~2 2"; "cl ~1 ~2 3"; "cl ~2 ~3 2"; "cl ~3 3";
+          "amo ~0"; "amo ~3"; "solve"; "create"; "vars 0-8"; "cl 1";
+          "alo ~0 0 1 2"; "alo ~1 3 4 5"; "alo ~2 6 7 8"; "alo ~3 0 1 2";
+          "alo ~4 3 4 5"; "alo ~5 6 7 8"; "alo ~6 0 1 2"; "alo ~7 3 4 5";
+          "alo ~8 6 7 8"; "cl ~0 0"; "cl ~0 ~1 1"; "cl ~0 ~2 2"; "cl ~1 ~3 0";
+          "cl ~1 ~4 1"; "cl ~1 ~5 2"; "cl ~2 ~6 0"; "cl ~2 ~7 1";
+          "cl ~2 ~8 2"; "cl ~0 ~3 3"; "cl ~1 ~3 4"; "cl ~2 ~3 5";
+          "cl ~3 ~4 3"; "cl ~4 4"; "cl ~4 ~5 5"; "cl ~5 ~6 3"; "cl ~5 ~7 4";
+          "cl ~5 ~8 5"; "cl ~0 ~6 6"; "cl ~1 ~6 7"; "cl ~2 ~6 8";
+          "cl ~3 ~7 6"; "cl ~4 ~7 7"; "cl ~5 ~7 8"; "cl ~6 ~8 6";
+          "cl ~7 ~8 7"; "cl ~8 8"; "amo ~0"; "amo ~4"; "amo ~8"; "vars 9-9";
+          "cl ~2 9"; "cl ~5 9"; "cl ~6 9"; "cl ~7 9"; "cl ~8 9"; "solve";
+        ] );
+    ];
+  (* deepening: the fresh-1 log is the first two rounds of the fresh-2 one *)
+  let one = grounding_log ~fresh:1 "succ_only" in
+  check "fresh 1 is a prefix of fresh 2" true
+    (List.filteri (fun i _ -> i < List.length one)
+       (grounding_log ~fresh:2 "succ_only")
+    = one)
+
 let test_sat_search_finds_model () =
   List.iter
     (fun name ->
@@ -328,6 +461,7 @@ let () =
       ( "fm_inst",
         [
           Alcotest.test_case "grounding counts" `Quick test_grounding_counts;
+          Alcotest.test_case "grounding log" `Quick test_grounding_log;
           Alcotest.test_case "sat finds models" `Quick
             test_sat_search_finds_model;
           Alcotest.test_case "example1 loop-free absent" `Quick
